@@ -34,8 +34,8 @@ struct ColumnAccessCounters {
 };
 
 /// Thread-safe per-column access accounting for one raw table. Scans
-/// accumulate counts in per-stripe (serial) or per-morsel (parallel) locals
-/// and flush them here in one call per column, so the hot loops never touch
+/// accumulate counts per morsel (MorselResult::access) and their merge step
+/// flushes them here in one call per column, so the hot loops never touch
 /// shared state per tuple. Counters are relaxed atomics: readers (the
 /// promotion policy, STATS, snapshots) only need eventually-consistent
 /// totals, never cross-counter invariants.

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "cache/column_cache.h"
-#include "storage/loader.h"
+#include "exec/raw_scan.h"
 
 namespace nodb {
 
@@ -85,51 +85,31 @@ TablePromotionReport RunTablePromotionCycle(TableRuntime* rt,
     const int nslots = static_cast<int>(attrs.size());
 
     // One sweep over the raw file loads every chosen column through the
-    // same adapter hooks (and NULL/error semantics) the scans use. Row
-    // starts ride along as spine-only fragments installed through the
-    // epoch-protected path, warming the positional map like a scan would.
+    // scan's own decode kernel (same NULL/error semantics), one promoted
+    // chunk per stripe. Each stripe's row starts install as a spine
+    // fragment through the epoch-protected path, warming the positional
+    // map like a scan would.
     std::vector<std::vector<PromotedColumns::Chunk>> cols(nslots);
-    std::vector<std::vector<Value>> bufs(nslots);
-    for (auto& b : bufs) b.reserve(tpc);
-
     PositionalMap* pm = rt->pmap.get();
     const uint64_t epoch = pm != nullptr ? pm->BeginEpoch() : 0;
-    PmapFragment frag;
-    frag.Reset({});
-    frag.Reserve(tpc);
-    uint64_t frag_first = 0;
-
-    auto flush_stripe = [&](uint64_t next_row) {
-      for (int s = 0; s < nslots; ++s) {
-        cols[s].push_back(
-            std::make_shared<const std::vector<Value>>(std::move(bufs[s])));
-        bufs[s].clear();
-        bufs[s].reserve(tpc);
-      }
-      if (pm != nullptr && !frag.empty()) {
-        pm->InstallFragment(frag, frag_first, epoch);
-        frag.Reset({});
-        frag.Reserve(tpc);
-      }
-      frag_first = next_row;
-    };
-
-    Result<uint64_t> swept = ForEachRawRow(
-        *rt->adapter, attrs,
-        [&](RawRowView& v) -> Status {
-          if (v.index > 0 && v.index % static_cast<uint64_t>(tpc) == 0) {
-            flush_stripe(v.index);
-          }
+    Result<uint64_t> swept = ForEachRawStripe(
+        *rt->adapter, attrs, tpc, pm,
+        [&](uint64_t first, MorselResult& stripe) -> Status {
           for (int s = 0; s < nslots; ++s) {
-            bufs[s].push_back(std::move(v.values[s]));
+            std::vector<Value> chunk;
+            chunk.reserve(stripe.num_rows);
+            for (size_t r = 0; r < stripe.num_rows; ++r) {
+              chunk.push_back(std::move(stripe.rows[r][attrs[s]]));
+            }
+            cols[s].push_back(
+                std::make_shared<const std::vector<Value>>(std::move(chunk)));
           }
-          if (pm != nullptr) frag.AddRecord(v.offset, nullptr);
+          if (pm != nullptr) pm->InstallFragment(stripe.frag, first, epoch);
           return Status::OK();
         },
         stop);
 
     const uint64_t total = swept.ok() ? swept.value() : 0;
-    if (swept.ok() && !bufs[0].empty()) flush_stripe(total);
     if (pm != nullptr) {
       if (swept.ok() && total > 0) pm->SetTotalTuples(total);
       pm->EndEpoch(epoch);

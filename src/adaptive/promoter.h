@@ -29,14 +29,14 @@ struct TablePromotionReport {
 
 /// Runs one promotion cycle over a raw table: snapshots the access
 /// counters, plans promotions/demotions (PlanPromotions), loads the chosen
-/// columns from the raw source in a single adapter-hook sweep
-/// (ForEachRawRow — the scan's exact decode semantics, so promoted answers
-/// are byte-identical), installs them into the PromotedColumns store, and
-/// settles the shared byte budget: the promoted columns' ColumnCache chunks
-/// are released and the store's residency is reserved out of the cache
-/// budget. Row starts discovered during the load are installed into the
-/// positional map through the epoch-protected fragment path, so a cycle
-/// racing live scans follows the same rules as a concurrent scan.
+/// columns from the raw source in a single sweep of the scan's decode
+/// kernel (ForEachRawStripe — so promoted answers are byte-identical),
+/// installs them into the PromotedColumns store, and settles the shared
+/// byte budget: the promoted columns' ColumnCache chunks are released and
+/// the store's residency is reserved out of the cache budget. Row starts
+/// discovered during the load are installed into the positional map
+/// through the epoch-protected fragment path, so a cycle racing live scans
+/// follows the same rules as a concurrent scan.
 ///
 /// Safe to call concurrently with queries; callers serialize cycles per
 /// table (the Database promoter thread or explicit RunPromotionCycle calls

@@ -28,8 +28,8 @@ namespace nodb {
 /// are handed out as shared_ptr snapshots, so a reader keeps its column
 /// alive even if a concurrent Put/eviction drops it from the cache;
 /// population stays race-free because each chunk is written by exactly one
-/// thread (the scan that parsed it — serial scans directly, parallel scans
-/// through their single merge thread; see README "Threading model").
+/// thread (the merge step of the scan that parsed it; see README
+/// "Threading model").
 class ColumnCache {
  public:
   struct Options {

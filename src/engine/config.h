@@ -58,10 +58,9 @@ struct EngineConfig {
   /// for measuring what batching buys); benches sweep this knob.
   size_t batch_size = 1024;
   /// Worker threads per raw-file scan (morsel-driven parallelism over one
-  /// shared per-Database ThreadPool). 1 — the default — runs the serial
-  /// scan path unchanged: output and pmap/cache/stats state byte-for-byte
-  /// identical to a build without the parallel subsystem. Overridable per
-  /// table through OpenOptions::scan_threads.
+  /// shared per-Database ThreadPool). 1 — the default — decodes morsels
+  /// inline on the querying thread; any count yields the same rows in the
+  /// same order. Overridable per table through OpenOptions::scan_threads.
   int scan_threads = 1;
   /// Target bytes per parallel-scan morsel. 0 = auto: file_size / (8 x
   /// threads), clamped to [256 KiB, 16 MiB] so every worker gets several

@@ -1,12 +1,12 @@
 #include "exec/executor.h"
 
 #include "exec/aggregate.h"
-#include "exec/parallel_raw_scan.h"
 #include "exec/compact_scan.h"
 #include "exec/hash_join.h"
 #include "exec/heap_scan.h"
 #include "exec/limit.h"
 #include "exec/project.h"
+#include "exec/raw_scan.h"
 #include "exec/sort.h"
 
 namespace nodb {
@@ -19,20 +19,16 @@ Result<OperatorPtr> MakeScan(const PlannedScan& scan, TableResolver* resolver,
                         resolver->GetTableRuntime(scan.table.table_name));
   switch (runtime->storage) {
     case TableStorage::kRaw: {
-      // One scan operator for every raw format: the table's adapter supplies
-      // the format-specific hooks, the scan the adaptive machinery. With
-      // more than one scan thread configured, the morsel-parallel variant
-      // runs instead — same contract, same results, same structures.
+      // One scan operator for every raw format and thread count: the
+      // table's adapter supplies the format-specific hooks, the scan the
+      // adaptive machinery; with more than one scan thread its morsels are
+      // decoded on the shared pool.
       const int threads = runtime->scan_threads_override > 0
                               ? runtime->scan_threads_override
                               : options.scan_threads;
-      if (threads > 1 && options.scan_pool != nullptr) {
-        return OperatorPtr(std::make_unique<ParallelRawScanOp>(
-            runtime, &scan, working_width, options.insitu, threads,
-            options.scan_morsel_bytes, options.scan_pool, options.control));
-      }
       return OperatorPtr(std::make_unique<RawScanOp>(
-          runtime, &scan, working_width, options.insitu, options.control));
+          runtime, &scan, working_width, options.insitu, options.control,
+          threads, options.scan_morsel_bytes, options.scan_pool));
     }
     case TableStorage::kHeap:
       return OperatorPtr(

@@ -1,7 +1,11 @@
 #ifndef NODB_EXEC_RAW_SCAN_H_
 #define NODB_EXEC_RAW_SCAN_H_
 
+#include <atomic>
+#include <condition_variable>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "exec/exec_control.h"
@@ -11,6 +15,8 @@
 #include "raw/raw_source.h"
 
 namespace nodb {
+
+class ThreadPool;
 
 /// Feature toggles for the raw scan; each maps to one of the paper's
 /// techniques so benchmarks can isolate its effect.
@@ -43,10 +49,8 @@ struct InSituOptions {
   bool index_intermediates = true;
 };
 
-/// The §4.1 attribute decomposition of one scan, shared by the serial and
-/// parallel raw-scan operators (one implementation, so the two can never
-/// drift apart on which attributes are tokenized, parsed early, parsed
-/// late, or materialized).
+/// The §4.1 attribute decomposition of one scan: which attributes are
+/// tokenized, parsed early, parsed late, or materialized.
 struct ScanAttrPlan {
   std::vector<int> output_attrs;  // materialized into the output row
   std::vector<int> phase1_attrs;  // parsed for every tuple (WHERE)
@@ -57,29 +61,152 @@ struct ScanAttrPlan {
 ScanAttrPlan ComputeScanAttrPlan(const PlannedScan& scan, int ncols,
                                  const InSituOptions& opts);
 
-/// The NoDB access method (§4) over *any* registered RawSourceAdapter: scans
-/// the raw file directly, using the positional map to jump (close) to field
-/// positions, the cache to skip file access entirely, selective
-/// tokenizing/parsing/tuple formation to minimize CPU work, and populating
-/// all three structures plus statistics as side effects — so the next query
-/// runs faster. All of that machinery lives here, format-independent; the
-/// adapter contributes only record iteration and field tokenize/parse hooks,
-/// which is how CSV, FITS and JSON Lines share one scan operator (and how a
-/// new format inherits the whole adaptive stack).
+/// One unit of decode work: a byte range of record starts whose first
+/// global tuple index is unknown (cold parallel scans), or a tuple range
+/// inside one stripe (`by_index`; serial scans, warm parallel scans and
+/// fixed-stride sources).
+struct Morsel {
+  uint64_t begin = 0;  // byte offset, or first tuple
+  uint64_t end = 0;    // one past the last byte offset / tuple
+  bool by_index = false;
+  /// by_index: the table's row count when known up front, 0 when not. Warm
+  /// columns serve a stripe only when it pins the stripe's population.
+  uint64_t table_rows = 0;
+};
+
+/// Everything DecodeMorsel learned from one morsel. The merge step
+/// (RawScanOp, or a ForEachRawStripe sink) publishes it once the global
+/// index of the morsel's first record is known.
+struct MorselResult {
+  Status status;
+  bool ready = false;      // parallel hand-off flag (guarded by the scan)
+  bool eof = false;        // the source ran out inside this morsel
+  bool from_file = false;  // records came from the file, not warm columns
+  uint64_t records = 0;    // records consumed, qualifying or not
+  /// Qualifying output rows, file order. A recycler: num_rows marks the
+  /// live prefix and slots keep their storage across morsels.
+  std::vector<Row> rows;
+  size_t num_rows = 0;
+  /// Staged spine + discovered positions; `filter_indexed` is false when
+  /// the §4.2 combination policy re-indexes attributes the stripe has.
+  PmapFragment frag;
+  bool filter_indexed = true;
+  /// Per attribute: cache_vals holds parsed values for records
+  /// [0, size()) — phase-2 columns stop at the first non-qualifying
+  /// record, so a short buffer marks a stripe that cannot be cached.
+  /// stats_vals holds the statistics values the cache buffer does not
+  /// already carry (stats replay cache_vals first, then stats_vals).
+  std::vector<uint8_t> cache_attr;
+  std::vector<uint8_t> stats_attr;
+  std::vector<std::vector<Value>> cache_vals;
+  std::vector<std::vector<Value>> stats_vals;
+  /// Conversions performed and rows served from warm columns.
+  std::vector<ColumnAccessCounters> access;
+
+  /// Next recycled output row, `width` wide; claim it with ++num_rows.
+  Row& NextRow(int width) {
+    if (num_rows == rows.size()) rows.emplace_back();
+    Row& row = rows[num_rows];
+    if (row.size() != static_cast<size_t>(width)) row.assign(width, Value());
+    return row;
+  }
+};
+
+/// What the decode kernel reads besides the records, fixed per scan. The
+/// structures are optional (null = absent); the kernel only reads them —
+/// anchors, warm columns, what is already indexed or cached — and stages
+/// what it learns in the MorselResult.
+struct DecodeContext {
+  const RawSourceAdapter* adapter = nullptr;
+  const PlannedScan* scan = nullptr;  // conjuncts and the table's offset
+  ScanAttrPlan attrs;
+  InSituOptions opts;
+  int width = 0;  // output row width
+  int tuples_per_stripe = 0;
+  PositionalMap* pm = nullptr;  // spine; positions if opts.use_positional_map
+  ColumnCache* cache = nullptr;
+  PromotedColumns* promo = nullptr;
+  TableStats* stats = nullptr;
+  const std::atomic<bool>* cancel = nullptr;  // polled every 128 records
+};
+
+/// Per-thread decode state: a lazily opened cursor and where it stands.
+struct MorselDecoder {
+  static constexpr uint64_t kUnknownTuple = UINT64_MAX;
+  std::unique_ptr<RecordCursor> cursor;
+  uint64_t next_tuple = kUnknownTuple;  // tuple the cursor returns next
+  std::vector<int> temp_attrs;          // attrs tracked per tuple, sorted
+  std::vector<int> slot_of;             // attr -> slot in temp_attrs, -1
+  std::vector<uint32_t> tuple_pos;      // per-tuple positions per slot
+  std::vector<uint32_t> frag_pos;       // per-tuple scratch, frag order
+};
+
+/// The one per-record decode loop of the NoDB access method (§4.1–4.3):
+/// selective tokenizing (dense batch tokenizing on cold stripes, anchored
+/// forward/backward walks on warm ones), two-phase parsing, positional-map
+/// anchors through the temporary map, and warm columns served from the
+/// promoted store or the cache — a stripe whose output columns are all
+/// warm is answered without touching the file. Decodes `morsel` into
+/// `out`, returning the first error (also left in out->status).
+Status DecodeMorsel(const DecodeContext& ctx, const Morsel& morsel,
+                    MorselDecoder* dec, MorselResult* out);
+
+/// Sweeps every record of `adapter` through DecodeMorsel, one stripe of
+/// `tuples_per_stripe` records at a time, decoding `attrs` (ascending)
+/// with no filter and no adaptive structures — exactly the raw scan's
+/// values, NULL rules and errors, which is why the bulk loaders and the
+/// column promoter use it. `fn` receives each non-empty stripe with its
+/// first tuple index: rows carry the attributes at their column index
+/// and, when `spine` is set, frag carries the row starts. `stop`
+/// (optional) cancels the sweep with a Cancelled status. Returns the
+/// number of records swept.
+Result<uint64_t> ForEachRawStripe(
+    const RawSourceAdapter& adapter, const std::vector<int>& attrs,
+    int tuples_per_stripe, PositionalMap* spine,
+    const std::function<Status(uint64_t first_tuple, MorselResult&)>& fn,
+    const std::atomic<bool>* stop = nullptr);
+
+/// The NoDB access method (§4) over *any* registered RawSourceAdapter,
+/// serial or morsel-parallel. The raw file is cut into morsels that
+/// DecodeMorsel turns into rows plus staged positional-map fragments,
+/// cache values, statistics values and access counts; one merge step
+/// publishes them in file order, so the next query runs faster. The
+/// adapter contributes only record iteration and field tokenize/parse
+/// hooks, which is how CSV, FITS and JSON Lines share one scan operator.
+///
+/// With one thread (or when the file cannot be split) the consumer
+/// decodes stripe-sized morsels inline. With more, pool workers decode
+/// morsels concurrently and a reorder window of `num_threads` morsels
+/// re-emits them in file order — the same rows in the same order as the
+/// serial scan:
+///
+///  * cold scans split the file into byte ranges snapped to record starts
+///    (the adapter's FindRecordBoundary); the merge re-bases each
+///    fragment to global tuple indices and stitches cache values into
+///    stripe-aligned chunks (only the merge thread Puts);
+///  * once the positional map's spine covers the table (or the source is
+///    fixed-stride), morsels are stripe-aligned tuple ranges, so parallel
+///    warm scans use positional anchors and warm columns like serial ones.
+///
+/// Workers exit rather than block when the window is full; the consumer
+/// resubmits them as it merges, so any number of scans can share one pool.
+/// Close() (or the destructor) cancels outstanding morsels and joins the
+/// workers, bounding reads after an early Close by the window. `control`
+/// is polled once per morsel: a cancelled or deadline-expired query stops
+/// with a typed error, and the destructor releases the scan epoch.
 class RawScanOp final : public Operator {
  public:
-  /// `runtime` (with a non-null adapter), `scan` must outlive the operator.
-  /// Output rows are `working_width` wide with this table's columns at
-  /// scan->table.offset.
-  /// `control` (optional) is polled once per stripe: a cancelled or
-  /// deadline-expired query stops mid-file with a typed error, and the
-  /// destructor releases the scan epoch like any other abandoned pipeline.
+  /// `runtime` (with a non-null adapter), `scan` and `pool` must outlive
+  /// the operator. Output rows are `working_width` wide with this table's
+  /// columns at scan->table.offset. `morsel_bytes` 0 means auto-size.
   RawScanOp(TableRuntime* runtime, const PlannedScan* scan, int working_width,
-            InSituOptions options, ExecControlPtr control = nullptr);
+            InSituOptions options, ExecControlPtr control = nullptr,
+            int num_threads = 1, uint64_t morsel_bytes = 0,
+            ThreadPool* pool = nullptr);
 
-  /// Ends the scan epoch if Close never ran (pipelines are abandoned
-  /// without the Close protocol on error paths; a leaked epoch would keep
-  /// its chunks eviction-protected forever).
+  /// Joins the workers and ends the scan epoch if Close never ran
+  /// (pipelines are abandoned without the Close protocol on error paths; a
+  /// leaked epoch would keep its chunks eviction-protected forever).
   ~RawScanOp() override;
 
   Status Open() override;
@@ -91,63 +218,66 @@ class RawScanOp final : public Operator {
   static constexpr int kDefaultStripe = 4096;
 
  private:
-  /// Processes the next stripe of tuples into the out_rows_ recycler. Sets
-  /// eof_ when the source is exhausted.
-  Status LoadStripe();
-  /// Serves a stripe entirely from cache snapshots (no file access).
-  /// `cols[a]` must be non-null for every output attribute.
-  Status ServeFromCache(const std::vector<ColumnCache::Column>& cols, int n);
+  /// A stripe's cache values being assembled from consecutive morsels.
+  struct PendingStripe {
+    uint64_t stripe = 0;
+    int filled = 0;
+    std::vector<std::vector<Value>> vals;  // [attr]
+  };
+
   /// Total tuple count if already known: a completed scan's positional map,
-  /// or a fixed-stride adapter's header. 0 when unknown.
+  /// the promoted store, or a fixed-stride adapter's header. 0 when unknown.
   uint64_t KnownTotalTuples() const;
-  /// Next recycled output slot (storage reused across stripes); the caller
-  /// fills it and then claims it with ++out_size_.
-  Row& OutSlot() {
-    if (out_size_ == out_rows_.size()) out_rows_.emplace_back();
-    return out_rows_[out_size_];
-  }
+  Status PlanMorsels(uint64_t total);
+  /// Decodes (serial) or awaits (parallel) the next morsel, merges it and
+  /// exposes its rows.
+  Status NextMorsel();
+  /// Tops the pool up with worker tasks, enough to cover the morsels the
+  /// reorder window currently exposes (mu_ held).
+  void SubmitWorkersLocked();
+  void WorkerLoop();
+  /// Publishes a decoded morsel into pmap, tracker, stats and cache.
+  void MergeResult(MorselResult* result);
+  void FlushPendingStripe(bool final_flush);
+  void FinalizeEof();
+  void CancelAndJoin();
 
   TableRuntime* runtime_;
   const PlannedScan* scan_;
-  int working_width_;
-  InSituOptions opts_;
+  const int working_width_;
+  const InSituOptions opts_;
   ExecControlPtr control_;
+  const int num_threads_;
+  const uint64_t morsel_bytes_option_;
+  ThreadPool* pool_;
   uint64_t epoch_token_ = 0;  // BeginEpoch token, returned in Close
 
-  const RawSourceAdapter* adapter_ = nullptr;
-  RawTraits traits_;
-  int ncols_ = 0;
-  int tuples_per_stripe_ = kDefaultStripe;
-  std::vector<int> phase1_attrs_;  // parsed for every tuple
-  std::vector<int> phase2_attrs_;  // parsed for qualifying tuples
-  std::vector<int> output_attrs_;  // materialized into the output row
-  int max_token_attr_ = 0;
+  DecodeContext ctx_;
+  MorselDecoder decoder_;  // the consumer's own (inline decoding)
+  std::vector<Morsel> morsels_;  // empty: decode stripes inline
+  int window_ = 1;
 
-  std::unique_ptr<RecordCursor> cursor_;
-  uint64_t next_tuple_ = 0;
-  bool need_seek_ = false;
-  uint64_t seek_index_ = 0;
-  uint64_t seek_offset_ = 0;
-  /// False when a stripe served without file access deferred resolving the
-  /// next stripe's seek offset (a fully promoted table never needs it; the
-  /// file path resolves it on demand from the spine).
-  bool seek_resolved_ = true;
+  // --- shared worker/consumer state (guarded by mu_; cancel_ is also
+  //     polled locklessly inside the record loop) ---
+  std::mutex mu_;
+  std::condition_variable result_cv_;  // consumer: a result became ready
+  std::condition_variable done_cv_;    // join: a worker task exited
+  std::vector<MorselResult> slots_;    // ring of window_ results
+  size_t next_claim_ = 0;
+  size_t merge_idx_ = 0;
+  int active_tasks_ = 0;
+  std::atomic<bool> cancel_{false};
+  bool workers_started_ = false;
+
+  // --- consumer-only state ---
   bool eof_ = false;
-
-  // Qualifying rows of the current stripe. A recycler, not a plain vector:
-  // out_size_ marks the live prefix and slots keep their heap storage
-  // across stripes, so the steady-state scan does no per-tuple allocation —
-  // rows leave via std::swap with the (equally recycled) caller batch.
+  uint64_t emitted_ = 0;  // global index of the next merged record
+  PendingStripe pending_;
+  // Rows of the merged morsel, swapped out of its slot (the slot gets the
+  // already emitted vector back, so row storage is recycled).
   std::vector<Row> out_rows_;
   size_t out_size_ = 0;
   size_t out_idx_ = 0;
-
-  // Per-stripe scratch (members to avoid reallocation).
-  std::vector<int> temp_attrs_;          // attrs tracked per tuple, sorted
-  std::vector<int> slot_of_;             // attr -> slot in temp_attrs_, -1
-  std::vector<uint32_t> tuple_pos_;      // per-tuple positions per slot
-  PmapFragment frag_;                    // staged spine + positions
-  std::vector<uint32_t> frag_pos_;       // per-tuple scratch, frag attr order
 };
 
 }  // namespace nodb

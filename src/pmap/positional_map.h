@@ -18,9 +18,9 @@ namespace nodb {
 /// A scan's private, lock-free staging buffer for positional information
 /// discovered while tokenizing one contiguous run of records: the absolute
 /// row-start offset of every record (the spine) plus, per record, the
-/// relative start offsets of a fixed attribute set. Serial scans stage one
-/// stripe at a time; parallel morsel workers stage a whole morsel without
-/// knowing its global tuple index yet. Either way the fragment is merged
+/// relative start offsets of a fixed attribute set. The decode kernel
+/// stages one per morsel — cold byte-range morsels without knowing their
+/// global tuple index yet. Either way the fragment is merged
 /// into the shared PositionalMap with InstallFragment once the index of its
 /// first record is known — that single entry point is where all budget
 /// accounting and eviction happen, under the map's internal lock.

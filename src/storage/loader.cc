@@ -1,127 +1,18 @@
 #include "storage/loader.h"
 
-#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include "csv/csv_adapter.h"
+#include "exec/raw_scan.h"
 #include "util/stopwatch.h"
 
 namespace nodb {
 
-Result<uint64_t> ForEachRawRow(const RawSourceAdapter& adapter,
-                               const std::vector<int>& attrs,
-                               const RawRowFn& fn,
-                               const std::atomic<bool>* stop) {
-  const RawTraits& traits = adapter.traits();
-  const Schema& schema = adapter.schema();
-  const int ncols = schema.num_columns();
-  const int nslots = static_cast<int>(attrs.size());
-  const int max_attr = nslots > 0 ? attrs.back() : 0;
-
-  // attr -> slot in attrs (-1 untracked), the PositionSink contract.
-  std::vector<int> slot_of(ncols, -1);
-  for (int s = 0; s < nslots; ++s) slot_of[attrs[s]] = s;
-
-  std::vector<uint32_t> pos(std::max(nslots, 1), kNoFieldPos);
-  bool record_corrupt = false;
-  const PositionSink sink{slot_of.data(), pos.data(), &record_corrupt};
-
-  // Dense batch tokenization when the format has it (same fallback rule as
-  // the scan: a -1 on the first record drops to the incremental walk).
-  bool use_dense = true;
-  std::vector<uint32_t> dense_starts(max_attr + 1);
-
-  std::vector<Value> values(nslots);
-  NODB_ASSIGN_OR_RETURN(std::unique_ptr<RecordCursor> cursor,
-                        adapter.OpenCursor());
-  RawRowView view;
-  view.values = values.data();
-
-  RecordRef rec;
-  uint64_t n = 0;
-  while (true) {
-    if (stop != nullptr && (n & 255) == 0 &&
-        stop->load(std::memory_order_relaxed)) {
-      return Status::Cancelled("raw row sweep stopped");
-    }
-    NODB_ASSIGN_OR_RETURN(bool has, cursor->Next(&rec));
-    if (!has) break;
-
-    record_corrupt = false;
-    int dense_nf = -1;
-    if (use_dense) {
-      dense_nf = adapter.TokenizeRecord(rec, max_attr, dense_starts.data());
-      if (dense_nf < 0) use_dense = false;
-    }
-    if (dense_nf >= 0) {
-      for (int s = 0; s < nslots; ++s) {
-        int a = attrs[s];
-        pos[s] = a < dense_nf ? dense_starts[a] : kAbsentFieldPos;
-      }
-    } else {
-      // Incremental forward walk from the nearest resolved tracked field
-      // (the scan's cold path without a positional map). Full-record
-      // tokenizers walk at most once; tracked fields still unresolved
-      // afterwards are definitively absent.
-      std::fill(pos.begin(), pos.end(), kNoFieldPos);
-      if (traits.attr0_at_start && nslots > 0 && attrs[0] == 0) pos[0] = 0;
-      bool record_walked = false;
-      int below = -1;
-      for (int s = 0; s < nslots; ++s) {
-        if (pos[s] == kNoFieldPos &&
-            !(traits.full_record_tokenize && record_walked)) {
-          int from_attr = below >= 0 ? attrs[below] : -1;
-          uint32_t from_pos = below >= 0 ? pos[below] : 0;
-          uint32_t p = adapter.FindForward(rec, from_attr, from_pos,
-                                           attrs[s], sink);
-          if (pos[s] == kNoFieldPos) pos[s] = p;
-          record_walked = true;
-          if (traits.full_record_tokenize) {
-            for (int t = 0; t < nslots; ++t) {
-              if (pos[t] == kNoFieldPos) pos[t] = kAbsentFieldPos;
-            }
-          }
-        }
-        if (pos[s] != kNoFieldPos && pos[s] != kAbsentFieldPos) below = s;
-      }
-    }
-    if (record_corrupt) {
-      return Status::Corruption("corrupt raw record at offset " +
-                                std::to_string(rec.offset) + " of '" +
-                                std::string(adapter.path()) + "'");
-    }
-
-    for (int s = 0; s < nslots; ++s) {
-      int a = attrs[s];
-      uint32_t p = pos[s];
-      // The scan's NULL rule: unknown, absent, or past the record end.
-      if (p == kNoFieldPos || p == kAbsentFieldPos || p > rec.data.size()) {
-        values[s] = Value::Null(schema.column(a).type);
-        continue;
-      }
-      uint32_t next_pos = kNoFieldPos;
-      if (dense_nf >= 0) {
-        if (a + 1 < dense_nf) next_pos = dense_starts[a + 1];
-      } else if (s + 1 < nslots && attrs[s + 1] == a + 1 &&
-                 pos[s + 1] != kAbsentFieldPos) {
-        next_pos = pos[s + 1];
-      }
-      uint32_t end = adapter.FieldEnd(rec, a, p, next_pos);
-      NODB_ASSIGN_OR_RETURN(values[s], adapter.ParseField(rec, a, p, end));
-    }
-
-    view.index = n;
-    view.offset = rec.offset;
-    NODB_RETURN_IF_ERROR(fn(view));
-    ++n;
-  }
-  return n;
-}
-
 namespace {
 
-/// Shared bulk-load driver: adapter-hook decode, `append(row)` per record.
+/// Shared bulk-load driver: the scan's decode kernel, `append(row)` per
+/// record.
 template <typename AppendFn>
 Result<LoadResult> LoadCsv(const std::string& csv_path,
                            const CsvDialect& dialect, const Schema& schema,
@@ -133,13 +24,15 @@ Result<LoadResult> LoadCsv(const std::string& csv_path,
   const int ncols = schema.num_columns();
   std::vector<int> attrs(ncols);
   std::iota(attrs.begin(), attrs.end(), 0);
-  Row row(ncols);
   NODB_ASSIGN_OR_RETURN(
       uint64_t rows,
-      ForEachRawRow(*adapter, attrs, [&](RawRowView& v) -> Status {
-        for (int c = 0; c < ncols; ++c) row[c] = std::move(v.values[c]);
-        return append(row);
-      }));
+      ForEachRawStripe(*adapter, attrs, RawScanOp::kDefaultStripe, nullptr,
+                       [&](uint64_t, MorselResult& stripe) -> Status {
+                         for (size_t r = 0; r < stripe.num_rows; ++r) {
+                           NODB_RETURN_IF_ERROR(append(stripe.rows[r]));
+                         }
+                         return Status::OK();
+                       }));
   LoadResult result;
   result.rows = rows;
   result.seconds = timer.ElapsedSeconds();

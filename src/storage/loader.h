@@ -1,14 +1,10 @@
 #ifndef NODB_STORAGE_LOADER_H_
 #define NODB_STORAGE_LOADER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "csv/dialect.h"
-#include "raw/raw_source.h"
 #include "storage/compact_table.h"
 #include "storage/table_heap.h"
 #include "util/result.h"
@@ -23,40 +19,13 @@ struct LoadResult {
   double seconds = 0;
 };
 
-/// One decoded record handed to a ForEachRawRow callback. `values` holds
-/// one Value per requested attribute (in the caller's `attrs` order) and
-/// may be moved from — the storage is recycled for the next record.
-struct RawRowView {
-  uint64_t index = 0;   // 0-based record index
-  uint64_t offset = 0;  // absolute file offset of the record's first byte
-  Value* values = nullptr;
-};
-
-using RawRowFn = std::function<Status(RawRowView&)>;
-
-/// Sweeps every record of a raw source, decoding the requested attributes
-/// (`attrs`, ascending) through the adapter's tokenize/parse hooks with
-/// *exactly* the raw scan's semantics: structural shortfalls (short row,
-/// absent field, position past the record end) become typed NULLs, and
-/// malformed value text is a conversion error that aborts the sweep. This
-/// is the single record-decode loop behind both the bulk loaders and the
-/// background column promoter — promotion must produce byte-identical
-/// values to the in-situ path, so there is one implementation to drift.
-///
-/// `stop` (optional) is polled periodically; setting it cancels the sweep
-/// with a Cancelled status. Returns the number of records swept.
-Result<uint64_t> ForEachRawRow(const RawSourceAdapter& adapter,
-                               const std::vector<int>& attrs,
-                               const RawRowFn& fn,
-                               const std::atomic<bool>* stop = nullptr);
-
 /// Bulk-loads a CSV file into a slotted-page heap — the a-priori "COPY" that
 /// traditional engines require before the first query (and whose cost NoDB
 /// eliminates). Every attribute of every tuple is tokenized, parsed to
 /// binary and written out, exactly the work the paper charges to the
-/// loaded-DBMS baselines. Decoding goes through the CSV adapter's hooks
-/// (via ForEachRawRow), so ragged/malformed rows load exactly as the raw
-/// scan would have answered them. `kernels` selects the tokenize/parse path
+/// loaded-DBMS baselines. Decoding runs the raw scan's own decode kernel
+/// over the CSV adapter (ForEachRawStripe), so ragged/malformed rows load
+/// exactly as the raw scan would have answered them. `kernels` selects the tokenize/parse path
 /// (raw/parse_kernels.h); null means the process-wide active table.
 Result<LoadResult> LoadCsvToHeap(const std::string& csv_path,
                                  const CsvDialect& dialect, TableHeap* heap,

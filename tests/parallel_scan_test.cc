@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "csv/writer.h"
@@ -85,13 +88,15 @@ const char* kQueries[] = {
     "SELECT COUNT(c1) AS non_null FROM t",
 };
 
-/// An engine of the given system over `path`, with `threads` scan threads
-/// and morsels small enough that even this test's small files split into
-/// dozens of morsels.
+/// An engine of the given system over `path`, with `threads` scan threads,
+/// morsels small enough that even this test's small files split into
+/// dozens of morsels, and stripes small enough that warm scans split into
+/// several stripe-aligned morsels.
 std::unique_ptr<Database> MakeScanEngine(SystemUnderTest sut,
                                          const std::string& path,
                                          const Schema& schema, int threads) {
   EngineConfig config = EngineConfig::ForSystem(sut);
+  config.tuples_per_chunk = 128;
   config.scan_threads = threads;
   config.scan_morsel_bytes = threads > 1 ? 1024 : 0;
   auto db = std::make_unique<Database>(config);
@@ -99,6 +104,33 @@ std::unique_ptr<Database> MakeScanEngine(SystemUnderTest sut,
   options.schema = schema;
   EXPECT_TRUE(db->Open("t", path, options).ok());
   return db;
+}
+
+/// Positional-map lookups (temporary-map prefetches) so far on table t.
+uint64_t PmapLookups(Database* db) {
+  const PositionalMap* pm = db->runtime("t")->pmap.get();
+  return pm != nullptr ? pm->counters().lookups : 0;
+}
+
+/// Every column's access counters, flattened for comparison.
+std::vector<uint64_t> AccessCounters(const TableRuntime* rt) {
+  std::vector<uint64_t> out;
+  for (const ColumnAccessCounters& c : rt->access->SnapshotAll()) {
+    out.insert(out.end(), {c.scans, c.rows_parsed, c.bytes_parsed,
+                           c.rows_from_cache, c.rows_from_promoted});
+  }
+  return out;
+}
+
+/// (stripe, attr, size) of every cached chunk.
+std::vector<std::vector<uint64_t>> CacheMembership(const TableRuntime* rt) {
+  std::vector<std::vector<uint64_t>> out;
+  if (rt->cache == nullptr) return out;
+  for (const ColumnCache::ExportedChunk& c : rt->cache->ExportState()) {
+    out.push_back({c.stripe, static_cast<uint64_t>(c.attr),
+                   c.values->size()});
+  }
+  return out;
 }
 
 TEST(ParallelScanDifferentialTest, AllEngineVariantsAgreeWithSerial) {
@@ -163,7 +195,16 @@ TEST(ParallelScanDifferentialTest, AllEngineVariantsAgreeWithSerial) {
       }
     }
 
+    // Positional-map lookups per engine before the warm round (index 0 is
+    // the serial reference).
+    std::vector<uint64_t> cold_lookups;
     for (int round = 0; round < kRounds; ++round) {
+      if (round == 1 && variant.path != nullptr) {
+        cold_lookups.push_back(PmapLookups(reference.get()));
+        for (auto& [threads, db] : parallel) {
+          cold_lookups.push_back(PmapLookups(db.get()));
+        }
+      }
       for (const char* sql : kQueries) {
         auto expected = reference->Execute(sql);
         ASSERT_TRUE(expected.ok())
@@ -186,8 +227,14 @@ TEST(ParallelScanDifferentialTest, AllEngineVariantsAgreeWithSerial) {
 
     // End-state parity where the contract promises it: a completed scan
     // pins the row count (and the spine, where a positional map exists)
-    // regardless of how many threads produced it.
-    for (auto& [threads, db] : parallel) {
+    // regardless of how many threads produced it. The per-column access
+    // accounting and the cache's chunk membership match too, and a warm
+    // parallel round probes positional anchors exactly as often as the
+    // serial one.
+    const bool anchored = EngineConfig::ForSystem(variant.sut).positional_map;
+    for (size_t i = 0; i < parallel.size(); ++i) {
+      const int threads = parallel[i].first;
+      Database* db = parallel[i].second.get();
       TableRuntime* serial_rt = reference->runtime("t");
       TableRuntime* rt = db->runtime("t");
       EXPECT_EQ(static_cast<double>(rt->known_row_count),
@@ -198,7 +245,84 @@ TEST(ParallelScanDifferentialTest, AllEngineVariantsAgreeWithSerial) {
         EXPECT_EQ(rt->pmap->contiguous_rows_known(),
                   serial_rt->pmap->contiguous_rows_known());
       }
+      if (variant.path == nullptr) continue;  // loaded: no raw structures
+      EXPECT_EQ(AccessCounters(rt), AccessCounters(serial_rt))
+          << variant.name << " x" << threads;
+      EXPECT_EQ(CacheMembership(rt), CacheMembership(serial_rt))
+          << variant.name << " x" << threads;
+      if (anchored) {
+        const uint64_t serial_warm = PmapLookups(reference.get()) -
+                                     cold_lookups[0];
+        const uint64_t warm = PmapLookups(db) - cold_lookups[i + 1];
+        EXPECT_EQ(warm, serial_warm) << variant.name << " x" << threads;
+        // With a cache the warm round never reaches the file; without one
+        // it must have gone through the positional map.
+        if (rt->cache == nullptr) {
+          EXPECT_GT(warm, 0u) << variant.name << " x" << threads;
+        }
+      }
     }
+  }
+}
+
+TEST(ParallelScanDifferentialTest, WarmColumnAccountingMatchesSerial) {
+  // A table with one output column promoted and one not: parallel scans
+  // must serve the promoted column from the promoted tier and account for
+  // it like serial scans do — otherwise the promotion policy sees a column
+  // that is read every query as cold and demotes it.
+  TempDir dir;
+  MicroDataSpec spec;
+  spec.rows = 10000;
+  spec.cols = 4;
+  std::string path = dir.File("wide.csv");
+  ASSERT_TRUE(GenerateWideCsv(path, spec).ok());
+  auto make = [&](int threads) {
+    EngineConfig config =
+        EngineConfig::ForSystem(SystemUnderTest::kPostgresRawPMC);
+    config.scan_threads = threads;
+    config.scan_morsel_bytes = 4096;
+    config.promotion.enabled = true;
+    config.promotion.min_scans = 1;
+    // Fits one promoted column (10000 rows x sizeof(Value)) but not two.
+    config.promotion.budget_bytes = 700000;
+    auto db = std::make_unique<Database>(config);
+    EXPECT_TRUE(db->RegisterCsv("t", path, MicroSchema(spec)).ok());
+    return db;
+  };
+  auto serial = make(1);
+  auto parallel = make(4);
+  for (Database* db : {serial.get(), parallel.get()}) {
+    ASSERT_TRUE(db->Execute("SELECT SUM(a1) AS s FROM t").ok());
+    auto first = db->RunPromotionCycle("t");
+    ASSERT_TRUE(first.ok()) << first.status();
+    ASSERT_EQ(first->promoted, std::vector<int>({0}));
+  }
+  const ColumnAccessCounters promoted_at =
+      parallel->runtime("t")->access->Snapshot(0);
+
+  const char* sql = "SELECT SUM(a1) AS s, MAX(a4) AS m FROM t";
+  for (int i = 0; i < 3; ++i) {
+    auto want = serial->Execute(sql);
+    auto got = parallel->Execute(sql);
+    ASSERT_TRUE(want.ok()) << want.status();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->Canonical(false), want->Canonical(false));
+  }
+  EXPECT_EQ(AccessCounters(parallel->runtime("t")),
+            AccessCounters(serial->runtime("t")));
+  const ColumnAccessCounters a1 = parallel->runtime("t")->access->Snapshot(0);
+  EXPECT_EQ(a1.rows_from_promoted,
+            promoted_at.rows_from_promoted + 3 * spec.rows);
+  EXPECT_EQ(a1.rows_parsed, promoted_at.rows_parsed);
+  EXPECT_EQ(a1.bytes_parsed, promoted_at.bytes_parsed);
+
+  // Under budget pressure the newly hot a4 may only displace a cold
+  // promoted column; a1 was read by every query, so it stays.
+  for (Database* db : {serial.get(), parallel.get()}) {
+    auto second = db->RunPromotionCycle("t");
+    ASSERT_TRUE(second.ok()) << second.status();
+    EXPECT_TRUE(second->demoted.empty());
+    EXPECT_TRUE(db->runtime("t")->promoted->IsPromoted(0));
   }
 }
 
@@ -314,6 +438,61 @@ TEST(ParallelScanDifferentialTest, ConcurrentOpenCursorsShareOnePool) {
   auto got = db.Execute(join_sql);
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->Canonical(false), want->Canonical(false));
+}
+
+TEST(ParallelScanStressTest, ManyCursorsOnOversubscribedPoolNeverHang) {
+  // Lost-wakeup regression: a worker that decided to exit (window full)
+  // but was not yet accounted as gone made the consumer's pool top-up see
+  // a phantom active worker, submit none, and wait forever on a morsel
+  // nobody would claim. Scans with a reorder window of 2 and morsels of a
+  // few bytes hand work back and forth constantly; many of them run at
+  // once on a pool with more threads than cores.
+  TempDir dir;
+  std::vector<Row> rows = TestRows(60);
+  Schema schema = TestSchema();
+  std::string path = dir.File("t.csv");
+  WriteCsvFile(path, rows);
+
+  const char* queries[] = {
+      "SELECT c0, c2 FROM t WHERE c4 >= 3",
+      "SELECT COUNT(*) AS n, SUM(c1) AS s FROM t",
+  };
+  auto serial = MakeEngine(SystemUnderTest::kPostgresRawBaseline);
+  ASSERT_TRUE(serial->RegisterCsv("t", path, schema).ok());
+  std::vector<std::string> want;
+  for (const char* sql : queries) {
+    auto r = serial->Execute(sql);
+    ASSERT_TRUE(r.ok()) << r.status();
+    want.push_back(r->Canonical(false));
+  }
+
+  const int cores =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  EngineConfig config =
+      EngineConfig::ForSystem(SystemUnderTest::kPostgresRawBaseline);
+  config.scan_threads = 2 * cores + 2;  // sizes the shared pool
+  config.scan_morsel_bytes = 5;
+  Database db(config);
+  OpenOptions options;
+  options.schema = schema;
+  options.scan_threads = 2;  // per scan: 2 workers, a window of 2
+  ASSERT_TRUE(db.Open("t", path, options).ok());
+
+  constexpr int kConsumers = 6;
+  constexpr int kQueriesEach = 3;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&, c] {
+      for (int i = 0; i < kQueriesEach; ++i) {
+        const int q = (c + i) % 2;
+        auto got = db.Execute(queries[q]);
+        if (!got.ok() || got->Canonical(false) != want[q]) ++wrong;
+      }
+    });
+  }
+  for (std::thread& t : consumers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 // ---------------------------------------------------------------------
