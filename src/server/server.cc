@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -81,6 +82,11 @@ void QueryServer::AcceptLoop() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       break;  // listener shut down (or unusable): stop accepting
     }
+    // Every reply is a small schema line followed by row lines. With
+    // Nagle on, the rows line waits behind the unACKed schema line until
+    // the client's delayed-ACK timer fires (~40 ms per round trip).
+    int one = 1;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     std::lock_guard<std::mutex> lock(sessions_mu_);
     if (stopping_.load(std::memory_order_acquire)) {

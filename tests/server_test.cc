@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -663,6 +664,30 @@ TEST(ServerTest, SessionLimitAndGracefulStop) {
   EXPECT_EQ(st.sessions_active, 0);
   // Stop is idempotent (the fixture destructor will run it again).
   s.server->Stop();
+}
+
+TEST(ServerTest, SequentialRepliesDoNotWaitForDelayedAck) {
+  // A reply is a schema line then a rows line. If the server's socket
+  // batches small writes (Nagle), the rows line waits for the client's
+  // delayed ACK of the schema line: ~40 ms per round trip on Linux,
+  // against well under 1 ms for this warm 200-row query.
+  ServedDb s = Serve(200);
+  TestClient client(s.server->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(IsOk(RunQuery(&client, "SELECT * FROM t")));  // warm
+
+  std::vector<double> ms;
+  for (int i = 0; i < 30; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Exchange ex = RunQuery(&client, "SELECT COUNT(*) FROM t WHERE a1 >= 0");
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+    ASSERT_TRUE(IsOk(ex)) << ex.terminal;
+  }
+  std::vector<double> tail(ms.end() - 25, ms.end());
+  std::nth_element(tail.begin(), tail.begin() + 12, tail.end());
+  EXPECT_LT(tail[12], 20.0) << "median of the last 25 round trips, ms";
 }
 
 }  // namespace
