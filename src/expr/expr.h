@@ -194,6 +194,13 @@ struct CastExpr final : Expr {
   }
 };
 
+/// Structural equality of two trees: same kinds, operators and result types,
+/// same column indices (display names are ignored), literal and IN-list
+/// values equal in type and payload, same LIKE patterns and negations, and
+/// equal children. Unlike comparing ToString() renderings, which print string
+/// literals unquoted, `s IN ('a', 'b')` and `s IN ('a, b')` stay distinct.
+bool SameExpr(const Expr& a, const Expr& b);
+
 /// Reference to the output slot of an aggregation operator; appears only in
 /// post-aggregation expressions (SELECT list / HAVING above a group-by).
 struct AggregateRefExpr final : Expr {

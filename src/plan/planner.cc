@@ -4,25 +4,101 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
 #include <unordered_set>
+#include <utility>
 
 namespace nodb {
 
 namespace {
 
-/// Moves the top-level AND conjuncts of `e` into `out`.
-void SplitAnd(ExprPtr e, std::vector<ExprPtr>* out) {
-  if (e == nullptr) return;
-  if (e->kind == ExprKind::kLogical) {
+bool IsLogical(const Expr& e, LogicalOp op) {
+  return e.kind == ExprKind::kLogical &&
+         static_cast<const LogicalExpr&>(e).op == op;
+}
+
+/// Moves the operands of the top-level `op` chain of `e` into `out`.
+void Flatten(ExprPtr e, LogicalOp op, std::vector<ExprPtr>* out) {
+  if (IsLogical(*e, op)) {
     auto* logical = static_cast<LogicalExpr*>(e.get());
-    if (logical->op == LogicalOp::kAnd) {
-      SplitAnd(std::move(logical->left), out);
-      SplitAnd(std::move(logical->right), out);
-      return;
-    }
+    Flatten(std::move(logical->left), op, out);
+    Flatten(std::move(logical->right), op, out);
+    return;
   }
   out->push_back(std::move(e));
+}
+
+/// Left-deep `op` chain over `operands` (non-empty).
+ExprPtr Fold(std::vector<ExprPtr> operands, LogicalOp op) {
+  ExprPtr acc = std::move(operands[0]);
+  for (size_t i = 1; i < operands.size(); ++i) {
+    acc = std::make_unique<LogicalExpr>(op, std::move(acc),
+                                        std::move(operands[i]));
+  }
+  return acc;
+}
+
+/// Moves the top-level AND conjuncts of `e` into `out`, factoring out of each
+/// OR the conjuncts that every disjunct shares: (A AND X) OR (A AND Y)
+/// yields A and (X OR Y), and A OR (A AND B) yields just A (absorption).
+/// Both rewrites hold in SQL's three-valued logic, and they let step 2 push
+/// a shared single-table conjunct into its scan.
+void SplitAnd(ExprPtr e, std::vector<ExprPtr>* out) {
+  if (e == nullptr) return;
+  std::vector<ExprPtr> conjuncts;
+  Flatten(std::move(e), LogicalOp::kAnd, &conjuncts);
+  for (ExprPtr& conj : conjuncts) {
+    if (!IsLogical(*conj, LogicalOp::kOr)) {
+      out->push_back(std::move(conj));
+      continue;
+    }
+    // Split every disjunct into its conjuncts. `common` holds, once each,
+    // the first disjunct's conjuncts that every other disjunct also has
+    // (matched with SameExpr), so the factored ones keep its order.
+    std::vector<ExprPtr> disjuncts;
+    Flatten(std::move(conj), LogicalOp::kOr, &disjuncts);
+    std::vector<std::vector<ExprPtr>> terms(disjuncts.size());
+    for (size_t d = 0; d < disjuncts.size(); ++d) {
+      Flatten(std::move(disjuncts[d]), LogicalOp::kAnd, &terms[d]);
+    }
+    auto has = [](const auto& list, const Expr& e) {
+      return std::any_of(list.begin(), list.end(),
+                         [&](const auto& x) { return SameExpr(*x, e); });
+    };
+    std::vector<const Expr*> common;
+    for (const ExprPtr& t : terms[0]) {
+      if (has(common, *t)) continue;
+      if (std::all_of(terms.begin() + 1, terms.end(),
+                      [&](const auto& other) { return has(other, *t); })) {
+        common.push_back(t.get());
+      }
+    }
+    // The first disjunct's copies move to `factored`; every other copy (and
+    // duplicate) is dropped. With nothing in common the OR is rebuilt whole
+    // (left-deep, as the parser nests it).
+    std::vector<ExprPtr> factored;
+    std::vector<ExprPtr> remainders;
+    bool absorbed = false;
+    for (std::vector<ExprPtr>& disjunct : terms) {
+      std::vector<ExprPtr> rest;
+      for (ExprPtr& t : disjunct) {
+        if (std::find(common.begin(), common.end(), t.get()) != common.end()) {
+          factored.push_back(std::move(t));
+        } else if (!has(common, *t)) {
+          rest.push_back(std::move(t));
+        }
+      }
+      if (rest.empty()) {
+        absorbed = true;
+      } else {
+        remainders.push_back(Fold(std::move(rest), LogicalOp::kAnd));
+      }
+    }
+    // A factored conjunct may itself be an OR with shared conjuncts.
+    for (ExprPtr& f : factored) SplitAnd(std::move(f), out);
+    if (!absorbed) out->push_back(Fold(std::move(remainders), LogicalOp::kOr));
+  }
 }
 
 /// Set of FROM-table indices referenced by `e`, given table offsets.
@@ -79,8 +155,8 @@ Result<std::unique_ptr<PhysicalPlan>> PlanQuery(BoundQuery* query,
   for (ExprPtr& conj : conjuncts) {
     std::set<int> tset = TablesOf(*conj, query->tables);
     if (tset.size() <= 1) {
-      int t = tset.empty() ? plan->driver_scan : *tset.begin();
-      // Constant predicates go to the driver scan (evaluated once per row;
+      int t = tset.empty() ? 0 : *tset.begin();
+      // Constant predicates go to the first scan (evaluated once per row;
       // they are rare and usually trivially true/false).
       plan->scans[t].conjuncts.push_back(std::move(conj));
       continue;
@@ -155,18 +231,19 @@ Result<std::unique_ptr<PhysicalPlan>> PlanQuery(BoundQuery* query,
     }
   }
 
-  // 4. Join order: greedy smallest-cardinality-first over connected tables;
-  //    FROM order when cardinalities are unknown.
+  // 4. Join order: the input with the largest known estimate drives the
+  //    pipeline, and each next join builds the connected input with the
+  //    smallest estimate, so hash tables hold the small sides. An unknown
+  //    estimate counts as largest: it is never hashed while a bounded input
+  //    is available, yet never drives ahead of a known one. FROM order
+  //    breaks ties, so without estimates the order is the FROM order.
   std::vector<bool> placed(ntables, false);
   auto est_of = [&](int t) {
     return plan->scans[t].est_rows >= 0 ? plan->scans[t].est_rows : 1e18;
   };
-  bool have_stats = stats != nullptr;
   int driver = 0;
-  if (have_stats) {
-    for (int t = 1; t < ntables; ++t) {
-      if (est_of(t) < est_of(driver)) driver = t;
-    }
+  for (int t = 1; t < ntables; ++t) {
+    if (plan->scans[t].est_rows > plan->scans[driver].est_rows) driver = t;
   }
   plan->driver_scan = driver;
   placed[driver] = true;
@@ -186,11 +263,7 @@ Result<std::unique_ptr<PhysicalPlan>> PlanQuery(BoundQuery* query,
     int next = -1;
     for (int t = 0; t < ntables; ++t) {
       if (placed[t] || !connected(t)) continue;
-      if (next < 0) {
-        next = t;
-      } else if (have_stats && est_of(t) < est_of(next)) {
-        next = t;
-      }
+      if (next < 0 || est_of(t) < est_of(next)) next = t;
     }
     if (next < 0) {
       // No connected table: fall back to the first unplaced (cross join).
@@ -376,8 +449,16 @@ Result<std::unique_ptr<PhysicalPlan>> PlanQuery(BoundQuery* query,
         }
         groups *= std::max(1.0, ndv);
       }
+      // Sizing heuristic: cap the hint at the driver's estimate, so that the
+      // table does not reserve buckets it never fills. This assumes the
+      // joins are key/foreign-key joins, which keep the pipeline at about
+      // the driver's size; when they do not (or the estimate is low), the
+      // hash table simply grows past the hint.
+      double cap = 1e7;
+      double input = plan->scans[plan->driver_scan].est_rows;
+      if (input >= 0) cap = std::clamp(input, 1.0, cap);
       plan->agg_groups_hint =
-          known ? static_cast<size_t>(std::min(groups, 1e7)) : 1024;
+          static_cast<size_t>(std::min(known ? groups : 1024.0, cap));
     }
   }
 

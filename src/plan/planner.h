@@ -37,10 +37,12 @@ class StatsProvider {
 };
 
 /// Turns a bound query into an executable plan:
-///  * pushes single-table conjuncts into scans (and orders them by
+///  * factors the conjuncts every disjunct of an OR shares out of it, then
+///    pushes single-table conjuncts into scans (and orders them by
 ///    estimated selectivity when statistics exist),
-///  * extracts equi-join edges and greedily orders joins by estimated
-///    cardinality (FROM order when statistics are absent),
+///  * extracts equi-join edges and orders joins by estimated cardinality:
+///    the largest known input drives, each join builds the smallest
+///    connected input (FROM order when estimates are absent),
 ///  * computes per-table needed columns, split into WHERE-phase and
 ///    payload-phase attributes (driving the in-situ scan's selective
 ///    tokenizing/parsing/tuple formation),

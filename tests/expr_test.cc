@@ -255,6 +255,42 @@ TEST(ExprTest, ToStringRendering) {
   EXPECT_EQ(e->ToString(), "(c0@0 <= 9)");
 }
 
+TEST(ExprTest, SameExprIsStructural) {
+  auto in = [](std::vector<Value> items) {
+    return std::make_unique<InListExpr>(Col(1, TypeId::kString),
+                                        std::move(items), false);
+  };
+  auto ab = in({Value::String("a"), Value::String("b")});
+  auto joined = in({Value::String("a, b")});
+  EXPECT_EQ(ab->ToString(), joined->ToString());  // they render alike
+  EXPECT_FALSE(SameExpr(*ab, *joined));
+  EXPECT_TRUE(SameExpr(*ab, *in({Value::String("a"), Value::String("b")})));
+
+  // Literal types count; display names do not.
+  auto le9 = Cmp(CompareOp::kLe, Col(0, TypeId::kInt64), Lit(Value::Int64(9)));
+  EXPECT_FALSE(SameExpr(*le9, *Cmp(CompareOp::kLe, Col(0, TypeId::kInt64),
+                                   Lit(Value::Double(9)))));
+  EXPECT_FALSE(SameExpr(*le9, *Cmp(CompareOp::kLt, Col(0, TypeId::kInt64),
+                                   Lit(Value::Int64(9)))));
+  EXPECT_FALSE(SameExpr(*le9, *Cmp(CompareOp::kLe, Col(2, TypeId::kInt64),
+                                   Lit(Value::Int64(9)))));
+  EXPECT_TRUE(SameExpr(
+      *le9, *Cmp(CompareOp::kLe,
+                 std::make_unique<ColumnRefExpr>(0, TypeId::kInt64, "other"),
+                 Lit(Value::Int64(9)))));
+
+  auto is_null = [](bool negated) {
+    return std::make_unique<IsNullExpr>(Col(0, TypeId::kInt64), negated);
+  };
+  EXPECT_FALSE(SameExpr(*is_null(false), *is_null(true)));
+  auto like = [](std::string pattern) {
+    return std::make_unique<LikeExpr>(Col(1, TypeId::kString),
+                                      std::move(pattern), false);
+  };
+  EXPECT_FALSE(SameExpr(*like("a%"), *like("a_")));
+  EXPECT_TRUE(SameExpr(*like("a%"), *like("a%")));
+}
+
 // ---------------------------------------------------------------------
 // Aggregates
 // ---------------------------------------------------------------------

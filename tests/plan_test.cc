@@ -114,15 +114,67 @@ TEST(PlannerTest, WithoutStatsDriverIsFromOrder) {
   EXPECT_EQ((*plan)->driver_scan, 0);  // big first, per FROM order
 }
 
-TEST(PlannerTest, WithStatsSmallestTableDrives) {
-  auto q = Bind("SELECT sv FROM big, small WHERE sk = fk");
+TEST(PlannerTest, WithStatsLargestInputDrivesSmallerIsBuilt) {
+  auto q = Bind("SELECT sv FROM small, big WHERE sk = fk");
   ASSERT_TRUE(q.ok());
   FakeStats stats;
-  stats.SetTable("big", *(*q)->tables[0].schema, 1e6, 0, 1000, 100);
-  stats.SetTable("small", *(*q)->tables[1].schema, 100, 0, 1000, 100);
+  stats.SetTable("small", *(*q)->tables[0].schema, 100, 0, 1000, 100);
+  stats.SetTable("big", *(*q)->tables[1].schema, 1e6, 0, 1000, 100);
   auto plan = PlanQuery(q->get(), &stats);
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ((*plan)->driver_scan, 1);  // small drives; big is built/probed
+  // big probes; small is the hash table.
+  EXPECT_EQ((*plan)->driver_scan, 1);
+  ASSERT_EQ((*plan)->joins.size(), 1u);
+  EXPECT_EQ((*plan)->joins[0].build_scan, 0);
+}
+
+TEST(PlannerTest, StarJoinFactDrivesDimensionsBuiltSmallestFirst) {
+  // big is the fact table; small and mid are dimensions keyed by bk / fk.
+  auto q = Bind("SELECT sv, mv FROM mid, big, small "
+                "WHERE mk = fk AND sk = bk");
+  ASSERT_TRUE(q.ok()) << q.status();
+  FakeStats stats;
+  stats.SetTable("mid", *(*q)->tables[0].schema, 1000, 0, 1000, 100);
+  stats.SetTable("big", *(*q)->tables[1].schema, 1e6, 0, 1000, 100);
+  stats.SetTable("small", *(*q)->tables[2].schema, 100, 0, 1000, 100);
+  auto plan = PlanQuery(q->get(), &stats);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ((*plan)->driver_scan, 1);  // big
+  ASSERT_EQ((*plan)->joins.size(), 2u);
+  EXPECT_EQ((*plan)->joins[0].build_scan, 2);  // small (100 rows)
+  EXPECT_EQ((*plan)->joins[1].build_scan, 0);  // mid (1000 rows)
+}
+
+TEST(PlannerTest, LargestKnownEstimateDrivesOverUnknown) {
+  // Only mid has statistics (a cold session where one file was read): it
+  // drives, and the unknown inputs are built in FROM order.
+  auto q = Bind("SELECT sv FROM small, mid, big WHERE sk = mk AND mv = fk");
+  ASSERT_TRUE(q.ok());
+  FakeStats stats;
+  stats.SetTable("mid", *(*q)->tables[1].schema, 1000, 0, 1000, 100);
+  auto plan = PlanQuery(q->get(), &stats);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ((*plan)->driver_scan, 1);
+  ASSERT_EQ((*plan)->joins.size(), 2u);
+  EXPECT_EQ((*plan)->joins[0].build_scan, 0);
+  EXPECT_EQ((*plan)->joins[1].build_scan, 2);
+}
+
+TEST(PlannerTest, UnknownEstimateIsBuiltAfterKnownOnes) {
+  // small and mid are bounded, big is not: big is never hashed while a
+  // bounded input is left, so mid drives and small is built before big.
+  auto q = Bind("SELECT sv FROM big, small, mid "
+                "WHERE sk = mk AND mv = fk");
+  ASSERT_TRUE(q.ok());
+  FakeStats stats;
+  stats.SetTable("small", *(*q)->tables[1].schema, 100, 0, 1000, 100);
+  stats.SetTable("mid", *(*q)->tables[2].schema, 1000, 0, 1000, 100);
+  auto plan = PlanQuery(q->get(), &stats);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ((*plan)->driver_scan, 2);
+  ASSERT_EQ((*plan)->joins.size(), 2u);
+  EXPECT_EQ((*plan)->joins[0].build_scan, 1);
+  EXPECT_EQ((*plan)->joins[1].build_scan, 0);
 }
 
 TEST(PlannerTest, StatsOrderConjunctsBySelectivity) {
@@ -184,6 +236,88 @@ TEST(PlannerTest, ResidualOrPredicateAttachedAtJoin) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_EQ((*plan)->joins.size(), 1u);
   EXPECT_EQ((*plan)->joins[0].residual.size(), 1u);
+}
+
+std::vector<std::string> Rendered(const std::vector<ExprPtr>& exprs) {
+  std::vector<std::string> out;
+  for (const ExprPtr& e : exprs) out.push_back(e->ToString());
+  return out;
+}
+
+TEST(PlannerTest, SharedOrConjunctsArePushedToTheirScan) {
+  // Q19's shape: every disjunct repeats two conditions on big, which move
+  // into big's scan; the per-disjunct remainder spans both tables.
+  auto q = Bind(
+      "SELECT sv FROM small, big WHERE sk = fk AND "
+      "((sk = 1 AND bv < 1.5 AND fk > 3 AND bk >= 0) OR "
+      " (sk = 2 AND bv > 2.5 AND fk > 3 AND bk >= 0) OR "
+      " (bk >= 0 AND sk = 3 AND fk > 3 AND bv > 9.5))");
+  ASSERT_TRUE(q.ok()) << q.status();
+  auto plan = PlanQuery(q->get(), nullptr);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  // In the first disjunct's order.
+  EXPECT_EQ(Rendered((*plan)->scans[1].conjuncts),
+            (std::vector<std::string>{"(fk@3 > 3)", "(bk@2 >= 0)"}));
+  EXPECT_TRUE((*plan)->scans[0].conjuncts.empty());
+  ASSERT_EQ((*plan)->joins.size(), 1u);
+  ASSERT_EQ((*plan)->joins[0].residual.size(), 1u);
+  EXPECT_EQ((*plan)->joins[0].residual[0]->ToString(),
+            "((((sk@0 = 1) AND (bv@4 < 1.5)) OR ((sk@0 = 2) AND "
+            "(bv@4 > 2.5))) OR ((sk@0 = 3) AND (bv@4 > 9.5)))");
+  // fk and bk are now filter attributes of big's scan.
+  EXPECT_EQ((*plan)->scans[1].where_attrs, (std::vector<int>{0, 1}));
+}
+
+TEST(PlannerTest, OrAbsorptionKeepsTheSharedConjunctOnly) {
+  auto q = Bind("SELECT sv FROM small WHERE sk > 3 OR (sk > 3 AND sv = 'x')");
+  ASSERT_TRUE(q.ok());
+  auto plan = PlanQuery(q->get(), nullptr);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(Rendered((*plan)->scans[0].conjuncts),
+            (std::vector<std::string>{"(sk@0 > 3)"}));
+  // sv is no longer filtered on, only projected.
+  EXPECT_EQ((*plan)->scans[0].where_attrs, (std::vector<int>{0}));
+}
+
+TEST(PlannerTest, OrWithoutSharedConjunctIsLeftAlone) {
+  const std::string sql =
+      "SELECT sv FROM small WHERE (sk > 3 AND sv = 'a') OR "
+      "(sk > 3 AND sv = 'b') OR sv = 'c'";
+  auto q = Bind(sql);
+  ASSERT_TRUE(q.ok());
+  auto plan = PlanQuery(q->get(), nullptr);
+  ASSERT_TRUE(plan.ok());
+  auto untouched = Bind(sql);
+  ASSERT_TRUE(untouched.ok());
+  EXPECT_EQ(Rendered((*plan)->scans[0].conjuncts),
+            (std::vector<std::string>{(*untouched)->where->ToString()}));
+}
+
+TEST(PlannerTest, OrConjunctsThatOnlyRenderAlikeAreNotFactored) {
+  // Both IN lists render as "sv@1 IN (a, b)", yet they differ.
+  const std::string sql =
+      "SELECT sv FROM small WHERE (sk > 1 AND sv IN ('a', 'b')) OR "
+      "(sk < 0 AND sv IN ('a, b'))";
+  auto q = Bind(sql);
+  ASSERT_TRUE(q.ok()) << q.status();
+  auto plan = PlanQuery(q->get(), nullptr);
+  ASSERT_TRUE(plan.ok());
+  auto untouched = Bind(sql);
+  ASSERT_TRUE(untouched.ok());
+  ASSERT_EQ((*plan)->scans[0].conjuncts.size(), 1u);
+  EXPECT_TRUE(SameExpr(*(*plan)->scans[0].conjuncts[0], *(*untouched)->where));
+}
+
+TEST(PlannerTest, AggHintBoundedByInputEstimate) {
+  // NDV(bk) * NDV(fk) is about 100 * 100, far above big's 1000 rows.
+  auto q = Bind("SELECT bk, fk, COUNT(*) FROM big GROUP BY bk, fk");
+  ASSERT_TRUE(q.ok());
+  FakeStats stats;
+  stats.SetTable("big", *(*q)->tables[0].schema, 1000, 0, 1000, 100);
+  auto plan = PlanQuery(q->get(), &stats);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ((*plan)->agg_strategy, AggStrategy::kHash);
+  EXPECT_EQ((*plan)->agg_groups_hint, 1000u);
 }
 
 TEST(PlannerTest, PlanToStringMentionsOperators) {

@@ -2,7 +2,12 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "engine/config.h"
+#include "engine/database.h"
 #include "engine/engines.h"
 #include "util/fs_util.h"
 #include "workload/tpch_gen.h"
@@ -213,6 +218,137 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryTest,
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "Q" + std::to_string(info.param);
                          });
+
+// ---------------------------------------------------------------------
+// Plans: statistics reorder joins and factor OR conjuncts into scans; the
+// answers must not move
+// ---------------------------------------------------------------------
+
+TEST(TpchPlanTest, StatsDrivenAndFromOrderPlansAgree) {
+  // Warm stats-driven engine: largest input drives, small sides are built,
+  // shared OR conjuncts run in the scans, hash aggregation.
+  auto planned = RawEngineWithTables(TpchTableNames());
+  // No statistics: FROM-order joins and sort aggregation.
+  EngineConfig blind_config =
+      EngineConfig::ForSystem(SystemUnderTest::kPostgresRawPMC);
+  blind_config.statistics = false;
+  Database blind(blind_config);
+  for (const std::string& t : TpchTableNames()) {
+    ASSERT_TRUE(
+        blind.RegisterCsv(t, TpchEnv::Dir() + "/" + t + ".csv", TpchSchema(t))
+            .ok());
+  }
+  for (int q : TpchQueryNumbers()) {  // gathers the statistics
+    ASSERT_TRUE(planned->Execute(TpchQuery(q)).ok()) << "Q" << q;
+  }
+  auto q19 = planned->Explain(TpchQuery(19));
+  ASSERT_TRUE(q19.ok());
+  EXPECT_EQ(q19->rfind("Driver: Scan lineitem filter=", 0), 0u) << *q19;
+
+  for (int q : TpchQueryNumbers()) {
+    const std::string sql = TpchQuery(q);
+    auto want = blind.Execute(sql);
+    ASSERT_TRUE(want.ok()) << "Q" << q << ": " << want.status();
+    auto got = planned->Execute(sql);
+    ASSERT_TRUE(got.ok()) << "Q" << q << ": " << got.status();
+    EXPECT_EQ(got->Canonical(true), want->Canonical(true)) << "Q" << q;
+  }
+}
+
+TEST(TpchPlanTest, FactoredOrMatchesUnfactoredWithNulls) {
+  // t.a is the column every disjunct filters on; a third of its cells (and
+  // of x, y and u.v) are NULL, so three-valued logic decides many rows.
+  TempDir dir;
+  std::string t_csv, u_csv;
+  for (int id = 0; id < 108; ++id) {
+    auto cell = [&](int slot, const char* const* values) {
+      int i = (id / slot) % 3;
+      return std::string(values[i]);
+    };
+    static const char* const kA[] = {"", "1", "5"};
+    static const char* const kX[] = {"2", "", "7"};
+    static const char* const kY[] = {"p", "q", ""};
+    static const char* const kV[] = {"", "4", "9"};
+    t_csv += std::to_string(id) + "," + cell(1, kA) + "," + cell(3, kX) +
+             "," + cell(9, kY) + "\n";
+    u_csv += std::to_string(id) + "," + cell(27, kV) + "\n";
+  }
+  ASSERT_TRUE(WriteStringToFile(dir.File("t.csv"), t_csv).ok());
+  ASSERT_TRUE(WriteStringToFile(dir.File("u.csv"), u_csv).ok());
+  auto db = MakeEngine(SystemUnderTest::kPostgresRawPMC);
+  ASSERT_TRUE(db->RegisterCsv("t", dir.File("t.csv"),
+                              Schema{{"id", TypeId::kInt64},
+                                     {"a", TypeId::kInt64},
+                                     {"x", TypeId::kInt64},
+                                     {"y", TypeId::kString}})
+                  .ok());
+  ASSERT_TRUE(db->RegisterCsv("u", dir.File("u.csv"),
+                              Schema{{"uid", TypeId::kInt64},
+                                     {"v", TypeId::kInt64}})
+                  .ok());
+
+  // Each predicate runs as a WHERE clause (factored, its shared conjunct
+  // pushed into t's scan) and wrapped in CASE, which the planner leaves
+  // whole: a row passes WHERE only where the predicate is TRUE.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"t", "(a > 2 AND x < 5) OR (a > 2 AND y = 'q')"},
+      {"t", "(a > 2 AND x < 5) OR (x < 5 AND a > 2 AND y IS NULL)"},
+      {"t", "a > 2 OR (a > 2 AND y = 'q')"},
+      {"t", "(a IS NULL AND x > 5) OR (y = 'p' AND a IS NULL)"},
+      {"t, u", "id = uid AND ((a > 2 AND v < 5) OR (a > 2 AND x > 5))"},
+      {"t, u", "id = uid AND ((a < 2 AND v > 5 AND y = 'p') OR "
+               "(y = 'p' AND a < 2 AND v IS NULL))"},
+  };
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then with statistics
+    for (const auto& [from, predicate] : cases) {
+      std::string head = "SELECT id FROM " + from + " WHERE ";
+      std::string where_sql = head + predicate;
+      std::string case_sql = head;
+      if (from == "t, u") case_sql += "id = uid AND ";
+      case_sql += "CASE WHEN " + predicate + " THEN 1 ELSE 0 END = 1";
+      auto want = db->Execute(case_sql);
+      ASSERT_TRUE(want.ok()) << case_sql << ": " << want.status();
+      if (from == "t, u") {  // the shared conjuncts reach t's scan
+        auto plan = db->Explain(where_sql);
+        ASSERT_TRUE(plan.ok());
+        EXPECT_NE(plan->find("Scan t filter="), std::string::npos) << *plan;
+      }
+      auto got = db->Execute(where_sql);
+      ASSERT_TRUE(got.ok()) << where_sql << ": " << got.status();
+      EXPECT_GT(want->rows.size(), 0u) << case_sql;
+      EXPECT_EQ(got->Canonical(true), want->Canonical(true))
+          << where_sql << " (pass " << pass << ")";
+    }
+  }
+}
+
+TEST(TpchPlanTest, FactoredOrKeepsLiteralsThatRenderAlike) {
+  // s IN ('a', 'b') and s IN ('a, b') print alike in EXPLAIN but are
+  // different predicates: neither may be factored out of the OR.
+  TempDir dir;
+  ASSERT_TRUE(WriteStringToFile(dir.File("t.csv"),
+                                "1|-1|a, b\n2|3|a\n3|-1|a\n4|3|a, b\n")
+                  .ok());
+  CsvDialect dialect;
+  dialect.delimiter = '|';
+  auto db = MakeEngine(SystemUnderTest::kPostgresRawPMC);
+  ASSERT_TRUE(db->RegisterCsv("t", dir.File("t.csv"),
+                              Schema{{"id", TypeId::kInt64},
+                                     {"x", TypeId::kInt64},
+                                     {"s", TypeId::kString}},
+                              dialect)
+                  .ok());
+  const std::string sql =
+      "SELECT id FROM t WHERE (x > 1 AND s IN ('a', 'b')) OR "
+      "(x < 0 AND s IN ('a, b')) ORDER BY id";
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then with statistics
+    auto got = db->Execute(sql);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(got->rows.size(), 2u) << got->Canonical(true);
+    EXPECT_EQ(got->rows[0][0].int64(), 1);
+    EXPECT_EQ(got->rows[1][0].int64(), 2);
+  }
+}
 
 TEST(TpchMetaTest, QueryTextAvailability) {
   for (int q : TpchQueryNumbers()) {
