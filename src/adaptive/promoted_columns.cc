@@ -2,9 +2,8 @@
 
 namespace nodb {
 
-PromotedColumns::PromotedColumns(int num_attrs, int tuples_per_chunk)
+PromotedColumns::PromotedColumns(int num_attrs)
     : num_attrs_(num_attrs),
-      tuples_per_chunk_(tuples_per_chunk),
       chunks_(num_attrs),
       info_(num_attrs),
       flags_(new std::atomic<bool>[num_attrs]) {
@@ -18,13 +17,6 @@ PromotedColumns::Chunk PromotedColumns::ChunkFor(uint64_t stripe,
   const std::vector<Chunk>& col = chunks_[attr];
   if (stripe >= col.size()) return nullptr;
   return col[stripe];
-}
-
-int PromotedColumns::promoted_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int n = 0;
-  for (const ColumnInfo& i : info_) n += i.promoted ? 1 : 0;
-  return n;
 }
 
 std::vector<int> PromotedColumns::promoted_attrs() const {
@@ -48,7 +40,7 @@ PromotedColumns::Counters PromotedColumns::counters() const {
 }
 
 void PromotedColumns::Install(int attr, std::vector<Chunk> chunks,
-                              uint64_t rows, uint64_t bytes) {
+                              uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   ColumnInfo& info = info_[attr];
   if (info.promoted) {
@@ -58,8 +50,6 @@ void PromotedColumns::Install(int attr, std::vector<Chunk> chunks,
   info.promoted = true;
   info.bytes = bytes;
   memory_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  // All columns cover the same file; row_count only ever moves 0 -> n.
-  row_count_.store(rows, std::memory_order_release);
   ++counters_.promotions;
   flags_[attr].store(true, std::memory_order_release);
 }

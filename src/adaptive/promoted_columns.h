@@ -50,42 +50,36 @@ class PromotedColumns {
     uint64_t served_mark = 0;
   };
 
-  PromotedColumns(int num_attrs, int tuples_per_chunk);
+  explicit PromotedColumns(int num_attrs);
 
   PromotedColumns(const PromotedColumns&) = delete;
   PromotedColumns& operator=(const PromotedColumns&) = delete;
 
   int num_attrs() const { return num_attrs_; }
-  int tuples_per_chunk() const { return tuples_per_chunk_; }
 
   /// Lock-free fast path for scans and the planner: is the column resident?
   bool IsPromoted(int attr) const {
     return flags_[attr].load(std::memory_order_acquire);
   }
 
-  /// Chunk of `attr` covering stripe `stripe` (tuples_per_chunk values,
-  /// short for the last stripe), or nullptr when the column is not promoted.
+  /// Chunk of `attr` covering stripe `stripe` (TableRuntime's
+  /// tuples_per_chunk values, short for the last stripe), or nullptr when
+  /// the column is not promoted.
   Chunk ChunkFor(uint64_t stripe, int attr) const;
 
-  /// Total rows of the table, learned when the first column was loaded; 0
-  /// while nothing is promoted.
-  uint64_t row_count() const {
-    return row_count_.load(std::memory_order_acquire);
-  }
-
+  /// Resident bytes of every promoted column; 0 when nothing is promoted.
   uint64_t memory_bytes() const {
     return memory_bytes_.load(std::memory_order_relaxed);
   }
 
-  int promoted_count() const;
   std::vector<int> promoted_attrs() const;
   std::vector<ColumnInfo> InfoSnapshot() const;
   Counters counters() const;
 
-  /// Installs a freshly loaded column: `chunks` must cover exactly `rows`
-  /// rows in stripe order. Replaces any previous residency for `attr`.
-  void Install(int attr, std::vector<Chunk> chunks, uint64_t rows,
-               uint64_t bytes);
+  /// Installs a freshly loaded column: `chunks` must cover every row of the
+  /// table (TableRuntime::row_count) in stripe order. Replaces any previous
+  /// residency for `attr`.
+  void Install(int attr, std::vector<Chunk> chunks, uint64_t bytes);
 
   /// Drops a promoted column; returns the bytes freed (0 if not promoted).
   /// Readers holding chunk snapshots keep serving them.
@@ -96,7 +90,6 @@ class PromotedColumns {
 
  private:
   const int num_attrs_;
-  const int tuples_per_chunk_;
 
   mutable std::mutex mu_;
   std::vector<std::vector<Chunk>> chunks_;  // [attr][stripe], guarded by mu_
@@ -104,7 +97,6 @@ class PromotedColumns {
   Counters counters_;                       // guarded by mu_
 
   std::unique_ptr<std::atomic<bool>[]> flags_;
-  std::atomic<uint64_t> row_count_{0};
   std::atomic<uint64_t> memory_bytes_{0};
 };
 

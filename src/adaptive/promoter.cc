@@ -22,7 +22,7 @@ TablePromotionReport RunTablePromotionCycle(TableRuntime* rt,
   }
   const Schema& schema = rt->schema;
   const int ncols = schema.num_columns();
-  const int tpc = store->tuples_per_chunk();
+  const int tpc = rt->tuples_per_chunk;
 
   uint64_t budget = cfg.budget_bytes;
   if (budget == 0) {
@@ -32,7 +32,7 @@ TablePromotionReport RunTablePromotionCycle(TableRuntime* rt,
   std::vector<ColumnAccessCounters> access = tracker->SnapshotAll();
   std::vector<PromotedColumns::ColumnInfo> info = store->InfoSnapshot();
 
-  double known_rows = rt->known_row_count.load();
+  const int64_t known_rows = rt->row_count.load();
   std::vector<ColumnPromotionInput> inputs(ncols);
   for (int a = 0; a < ncols; ++a) {
     ColumnPromotionInput& in = inputs[a];
@@ -110,20 +110,17 @@ TablePromotionReport RunTablePromotionCycle(TableRuntime* rt,
         stop);
 
     const uint64_t total = swept.ok() ? swept.value() : 0;
-    if (pm != nullptr) {
-      if (swept.ok() && total > 0) pm->SetTotalTuples(total);
-      pm->EndEpoch(epoch);
-    }
+    if (pm != nullptr) pm->EndEpoch(epoch);
 
     if (swept.ok() && total > 0) {
-      rt->known_row_count = static_cast<double>(total);
+      rt->row_count = static_cast<int64_t>(total);
       for (int s = 0; s < nslots; ++s) {
         int a = attrs[s];
         uint64_t bytes = 0;
         for (const PromotedColumns::Chunk& ch : cols[s]) {
           bytes += ColumnCache::BytesOf(*ch, schema.column(a).type);
         }
-        store->Install(a, std::move(cols[s]), total, bytes);
+        store->Install(a, std::move(cols[s]), bytes);
         report.promoted.push_back(a);
         // A promoted column fully supersedes its cache chunks: release
         // them so the shared budget isn't charged twice for the same data.

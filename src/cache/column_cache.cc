@@ -14,7 +14,6 @@ ColumnCache::ColumnCache(std::vector<TypeId> types, Options options)
   int max_class = 0;
   for (TypeId t : types_) max_class = std::max(max_class, ConversionCostClass(t));
   lru_by_class_.resize(max_class + 1);
-  attr_counters_.resize(types_.size());
 }
 
 uint64_t ColumnCache::BytesOf(const std::vector<Value>& values,
@@ -33,11 +32,9 @@ ColumnCache::Column ColumnCache::Get(uint64_t stripe, int attr) {
   auto it = entries_.find(KeyOf(stripe, attr));
   if (it == entries_.end()) {
     ++counters_.misses;
-    ++attr_counters_[attr].misses;
     return nullptr;
   }
   ++counters_.hits;
-  ++attr_counters_[attr].hits;
   Entry& e = it->second;
   std::list<uint64_t>& lru = lru_by_class_[e.cost_class];
   if (e.lru_pos != lru.begin()) {
@@ -156,11 +153,6 @@ double ColumnCache::utilization() const {
 ColumnCache::Counters ColumnCache::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_;
-}
-
-ColumnCache::AttrCounters ColumnCache::attr_counters(int attr) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return attr_counters_[attr];
 }
 
 std::vector<ColumnCache::ExportedChunk> ColumnCache::ExportState() const {

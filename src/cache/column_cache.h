@@ -34,7 +34,6 @@ class ColumnCache {
  public:
   struct Options {
     uint64_t budget_bytes = UINT64_MAX;
-    int tuples_per_chunk = 4096;  // must match the scan's stripe size
   };
 
   struct Counters {
@@ -45,13 +44,6 @@ class ColumnCache {
     /// Chunks dropped by ReleaseAttr (column promotion superseding the
     /// cached copies — distinct from budget-pressure evictions).
     uint64_t released = 0;
-  };
-
-  /// Per-attribute slice of the hit/miss counters, for the promotion
-  /// policy's cost-to-serve accounting.
-  struct AttrCounters {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
   };
 
   /// One cached column chunk, shared with readers.
@@ -90,14 +82,11 @@ class ColumnCache {
 
   uint64_t memory_bytes() const;
   uint64_t budget_bytes() const { return options_.budget_bytes; }
-  int tuples_per_chunk() const { return options_.tuples_per_chunk; }
   /// Fraction of the budget in use, in [0, 1] (1 if budget is unlimited
   /// and anything is cached).
   double utilization() const;
   /// Snapshot of the counters (copy: the cache may be mutated concurrently).
   Counters counters() const;
-  /// Per-attribute hit/miss snapshot.
-  AttrCounters attr_counters(int attr) const;
 
   /// Bytes a chunk of `values` occupies under this cache's accounting
   /// (public so the promoted column store charges the shared budget with
@@ -148,8 +137,6 @@ class ColumnCache {
   uint64_t memory_bytes_ = 0;
   uint64_t reserved_bytes_ = 0;
   Counters counters_;
-  /// Per-attribute hit/miss tallies (indexed by attr, sized like types_).
-  std::vector<AttrCounters> attr_counters_;
 };
 
 }  // namespace nodb

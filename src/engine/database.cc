@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "exec/raw_scan.h"
 #include "io/inflate_file.h"
 #include "raw/parse_kernels.h"
 #include "snapshot/snapshot.h"
@@ -109,6 +108,9 @@ Status Database::Open(const std::string& name, const std::string& path,
   rt->name = name;
   rt->schema = adapter->schema();
   rt->storage = TableStorage::kRaw;
+  rt->tuples_per_chunk = config_.tuples_per_chunk;
+  // Fixed-stride formats state their count in the header (-1 otherwise).
+  rt->row_count = adapter->row_count_hint();
   const RawTraits& traits = adapter->traits();
 
   // Adaptive structures are format-independent; traits decide what earns
@@ -120,7 +122,7 @@ Status Database::Open(const std::string& name, const std::string& path,
   // positional_map is set.
   if (traits.variable_positions && (config_.positional_map || config_.cache)) {
     PositionalMap::Options pm_opts;
-    pm_opts.tuples_per_chunk = config_.tuples_per_chunk;
+    pm_opts.tuples_per_chunk = rt->tuples_per_chunk;
     pm_opts.budget_bytes = config_.pm_budget_bytes;
     pm_opts.spill_dir = config_.pm_spill_dir;
     rt->pmap = std::make_unique<PositionalMap>(rt->schema.num_columns(),
@@ -129,7 +131,6 @@ Status Database::Open(const std::string& name, const std::string& path,
   if (config_.cache) {
     ColumnCache::Options cache_opts;
     cache_opts.budget_bytes = config_.cache_budget_bytes;
-    cache_opts.tuples_per_chunk = config_.tuples_per_chunk;
     std::vector<TypeId> types;
     for (const Column& c : rt->schema.columns()) types.push_back(c.type);
     rt->cache = std::make_unique<ColumnCache>(std::move(types), cache_opts);
@@ -140,16 +141,11 @@ Status Database::Open(const std::string& name, const std::string& path,
   // Per-column access accounting is always on for raw tables (relaxed
   // atomic counters; negligible next to tokenizing). The promoted store —
   // the tier the accounting feeds — exists only when the subsystem is
-  // enabled. Its chunk size must match the scan's stripe size so promoted
-  // chunks address the same stripes cache chunks would.
+  // enabled.
   rt->access =
       std::make_unique<ColumnAccessTracker>(rt->schema.num_columns());
   if (config_.promotion.enabled) {
-    const int tpc = (rt->pmap != nullptr || rt->cache != nullptr)
-                        ? config_.tuples_per_chunk
-                        : RawScanOp::kDefaultStripe;
-    rt->promoted =
-        std::make_unique<PromotedColumns>(rt->schema.num_columns(), tpc);
+    rt->promoted = std::make_unique<PromotedColumns>(rt->schema.num_columns());
   }
   rt->adapter = std::move(adapter);
   rt->scan_threads_override = options.scan_threads;
@@ -220,7 +216,7 @@ Result<LoadResult> Database::LoadCsv(const std::string& name,
     NODB_ASSIGN_OR_RETURN(
         load, LoadCsvToCompact(path, dialect, rt->compact.get(),
                                &SelectKernels(config_.scalar_kernels)));
-    rt->known_row_count = static_cast<double>(rt->compact->row_count());
+    rt->row_count = static_cast<int64_t>(rt->compact->row_count());
   } else {
     std::string target = dir + "/" + name + ".heap";
     TableHeap::Options heap_opts;
@@ -232,7 +228,7 @@ Result<LoadResult> Database::LoadCsv(const std::string& name,
     NODB_ASSIGN_OR_RETURN(
         load, LoadCsvToHeap(path, dialect, rt->heap.get(),
                             &SelectKernels(config_.scalar_kernels)));
-    rt->known_row_count = static_cast<double>(rt->heap->row_count());
+    rt->row_count = static_cast<int64_t>(rt->heap->row_count());
   }
 
   // ANALYZE-equivalent: loaded engines come out of the load with statistics
@@ -242,27 +238,23 @@ Result<LoadResult> Database::LoadCsv(const std::string& name,
     Stopwatch analyze;
     rt->stats = std::make_unique<TableStats>(rt->schema);
     std::vector<bool> needed(rt->schema.num_columns(), true);
-    Row row;
+    auto analyze_all = [&](auto& scanner) -> Status {
+      Row row;
+      while (true) {
+        NODB_ASSIGN_OR_RETURN(bool has, scanner.Next(&row));
+        if (!has) return Status::OK();
+        for (int c = 0; c < rt->schema.num_columns(); ++c) {
+          rt->stats->AddValue(c, row[c]);
+        }
+      }
+    };
     if (rt->heap != nullptr) {
       TableHeap::Scanner scanner(rt->heap.get(), needed);
-      while (true) {
-        NODB_ASSIGN_OR_RETURN(bool has, scanner.Next(&row));
-        if (!has) break;
-        for (int c = 0; c < rt->schema.num_columns(); ++c) {
-          rt->stats->AddValue(c, row[c]);
-        }
-      }
+      NODB_RETURN_IF_ERROR(analyze_all(scanner));
     } else {
       CompactTable::Scanner scanner(rt->compact.get(), needed);
-      while (true) {
-        NODB_ASSIGN_OR_RETURN(bool has, scanner.Next(&row));
-        if (!has) break;
-        for (int c = 0; c < rt->schema.num_columns(); ++c) {
-          rt->stats->AddValue(c, row[c]);
-        }
-      }
+      NODB_RETURN_IF_ERROR(analyze_all(scanner));
     }
-    rt->stats->SetRowCount(static_cast<uint64_t>(rt->known_row_count));
     rt->stats->FinalizeAll();
     rt->stats_populated = true;
     load.seconds += analyze.ElapsedSeconds();
@@ -296,13 +288,7 @@ std::vector<TableInfo> Database::ListTables() const {
     } else {
       info.format = rt->storage == TableStorage::kCompact ? "compact" : "heap";
     }
-    info.row_count = rt->known_row_count;
-    if (info.row_count < 0 && rt->adapter != nullptr) {
-      // Fixed-stride formats state the count in their header; report it
-      // without waiting for a full scan.
-      int64_t hint = rt->adapter->row_count_hint();
-      if (hint >= 0) info.row_count = static_cast<double>(hint);
-    }
+    info.row_count = static_cast<double>(rt->row_count.load());
     if (rt->pmap != nullptr) info.pmap_bytes = rt->pmap->memory_bytes();
     if (rt->cache != nullptr) info.cache_bytes = rt->cache->memory_bytes();
     info.snapshot_state =
@@ -314,7 +300,6 @@ std::vector<TableInfo> Database::ListTables() const {
         info.compressed = true;
         info.gz_checkpoints = gz->checkpoint_count();
         info.gz_bytes_inflated = gz->bytes_inflated();
-        info.gz_compressed_bytes_read = gz->compressed_bytes_read();
       }
     }
     if (rt->promoted != nullptr) {
@@ -598,7 +583,7 @@ const TableStats* Database::GetTableStats(const std::string& name) const {
 double Database::GetRowCount(const std::string& name) const {
   auto it = tables_.find(name);
   if (it == tables_.end()) return -1;
-  return it->second->known_row_count;
+  return static_cast<double>(it->second->row_count.load());
 }
 
 bool Database::IsColumnPromoted(const std::string& name, int attr) const {

@@ -48,8 +48,9 @@ struct TableInfo {
   /// loaded tables report their storage engine ("heap", "compact").
   std::string format;
   TableStorage storage = TableStorage::kRaw;
-  /// Exact row count when known (loaded tables, or raw tables after a full
-  /// scan); negative while still unknown.
+  /// TableRuntime::row_count: exact when known (loaded tables, a raw table
+  /// after a full scan, a promotion sweep or a snapshot load, or a format
+  /// header that states it); negative while still unknown.
   double row_count = -1;
   /// Current footprint of the adaptive structures (0 when absent).
   uint64_t pmap_bytes = 0;
@@ -71,7 +72,6 @@ struct TableInfo {
   bool compressed = false;
   uint64_t gz_checkpoints = 0;
   uint64_t gz_bytes_inflated = 0;
-  uint64_t gz_compressed_bytes_read = 0;
   /// Workload-driven promotion state (src/adaptive; empty/zero when the
   /// subsystem is off). Attributes currently resident in the promoted
   /// columnar store, their footprint, and lifetime transition counts.

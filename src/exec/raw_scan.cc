@@ -581,14 +581,16 @@ RawScanOp::~RawScanOp() {
 }
 
 uint64_t RawScanOp::KnownTotalTuples() const {
-  if (runtime_->pmap != nullptr && runtime_->pmap->total_tuples() > 0) {
-    return runtime_->pmap->total_tuples();
-  }
-  if (runtime_->promoted != nullptr && runtime_->promoted->row_count() > 0) {
-    return runtime_->promoted->row_count();
-  }
-  int64_t hint = runtime_->adapter->row_count_hint();
-  return hint > 0 ? static_cast<uint64_t>(hint) : 0;
+  // Only a table whose structures describe the file as it was counted — a
+  // positional map, resident promoted columns, or a header-stated count —
+  // pins its scans; the structure-free baseline re-reads to EOF.
+  const bool pinned =
+      runtime_->pmap != nullptr ||
+      (runtime_->promoted != nullptr &&
+       runtime_->promoted->memory_bytes() > 0) ||
+      runtime_->adapter->row_count_hint() >= 0;
+  const int64_t rows = runtime_->row_count.load();
+  return pinned && rows > 0 ? static_cast<uint64_t>(rows) : 0;
 }
 
 Status RawScanOp::PlanMorsels(uint64_t total) {
@@ -694,13 +696,7 @@ Status RawScanOp::Open() {
   ctx_.attrs = ComputeScanAttrPlan(*scan_, ncols, opts_);
   ctx_.opts = opts_;
   ctx_.width = working_width_;
-  if (runtime_->pmap != nullptr) {
-    ctx_.tuples_per_stripe = runtime_->pmap->tuples_per_chunk();
-  } else if (runtime_->cache != nullptr) {
-    ctx_.tuples_per_stripe = runtime_->cache->tuples_per_chunk();
-  } else {
-    ctx_.tuples_per_stripe = kDefaultStripe;
-  }
+  ctx_.tuples_per_stripe = runtime_->tuples_per_chunk;
   ctx_.pm = runtime_->pmap.get();
   ctx_.cache = opts_.use_cache ? runtime_->cache.get() : nullptr;
   ctx_.promo = runtime_->promoted.get();
@@ -943,12 +939,8 @@ void RawScanOp::FlushPendingStripe(bool final_flush) {
 }
 
 void RawScanOp::FinalizeEof() {
-  if (runtime_->pmap != nullptr) runtime_->pmap->SetTotalTuples(emitted_);
-  runtime_->known_row_count = static_cast<double>(emitted_);
-  if (ctx_.stats != nullptr) {
-    ctx_.stats->SetRowCount(emitted_);
-    runtime_->stats_populated = true;
-  }
+  runtime_->row_count = static_cast<int64_t>(emitted_);
+  if (ctx_.stats != nullptr) runtime_->stats_populated = true;
 }
 
 void RawScanOp::CancelAndJoin() {

@@ -213,8 +213,8 @@ class RawScanOp final : public Operator {
   Result<size_t> Next(RowBatch* batch) override;
   Status Close() override;
 
-  /// Stripe size used when the table has neither positional map nor cache
-  /// (kept identical to PositionalMap's default so cache keys line up).
+  /// Stripe size of the loader's sweep, which runs without a table
+  /// runtime (tables scan with TableRuntime::tuples_per_chunk).
   static constexpr int kDefaultStripe = 4096;
 
  private:
@@ -225,8 +225,8 @@ class RawScanOp final : public Operator {
     std::vector<std::vector<Value>> vals;  // [attr]
   };
 
-  /// Total tuple count if already known: a completed scan's positional map,
-  /// the promoted store, or a fixed-stride adapter's header. 0 when unknown.
+  /// TableRuntime::row_count when it bounds this scan, 0 ("read to EOF")
+  /// otherwise or while the count is unknown.
   uint64_t KnownTotalTuples() const;
   Status PlanMorsels(uint64_t total);
   /// Decodes (serial) or awaits (parallel) the next morsel, merges it and

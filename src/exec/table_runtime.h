@@ -2,6 +2,7 @@
 #define NODB_EXEC_TABLE_RUNTIME_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -70,10 +71,18 @@ struct TableRuntime {
   /// planners read it (one table may be queried from many threads).
   std::atomic<bool> stats_populated{false};
 
-  /// Exact row count when known (loaded tables, or raw tables after their
-  /// first complete scan); negative otherwise. Atomic for the same reason
-  /// as stats_populated.
-  std::atomic<double> known_row_count{-1};
+  /// Rows per stripe: the one stripe size the positional map is built with
+  /// and the scan, cache, promoted tier and snapshots address chunks by.
+  /// Set once at Open from EngineConfig::tuples_per_chunk.
+  int tuples_per_chunk = 0;
+
+  /// The table's one row count: -1 while unknown, else exact (0 is a real
+  /// count). Written by whatever learns it — a raw scan reaching EOF, a
+  /// promotion sweep, a snapshot load, the adapter's header at Open, or
+  /// LoadCsv — and read by the catalog, the planner, snapshots and the
+  /// scans that pin their population to it. Atomic for the same reason as
+  /// stats_populated.
+  std::atomic<int64_t> row_count{-1};
 
   /// Per-table override of EngineConfig::scan_threads (Database::Open
   /// options); 0 means "use the engine default".

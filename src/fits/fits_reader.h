@@ -12,9 +12,11 @@
 
 namespace nodb {
 
-/// Streaming row reader over a FITS binary table, used by tests and by the
-/// in-situ FITS scan's cold path. Field positions are computed, never
-/// tokenized — the structural difference from CSV that §5.3 highlights.
+/// Streaming row reader over a FITS binary table, used only by the FITS
+/// format tests as an independent decoder; the in-situ scan reads FITS
+/// through FitsAdapter (fits_adapter.h) and the shared raw-scan kernel.
+/// Field positions are computed, never tokenized — the structural
+/// difference from CSV that §5.3 highlights.
 class FitsReader {
  public:
   /// `file` must outlive the reader; `info` is the parsed header.

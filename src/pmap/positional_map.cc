@@ -68,16 +68,6 @@ uint64_t PositionalMap::contiguous_rows_known() const {
   return contiguous_rows_known_;
 }
 
-void PositionalMap::SetTotalTuples(uint64_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  total_tuples_ = n;
-}
-
-uint64_t PositionalMap::total_tuples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_tuples_;
-}
-
 // ---------------------------------------------------------------------
 // Epochs
 // ---------------------------------------------------------------------
@@ -572,11 +562,11 @@ PositionalMap::Counters PositionalMap::counters() const {
   return counters_;
 }
 
-PositionalMap::ExportedState PositionalMap::ExportState() const {
+std::vector<PositionalMap::ExportedStripe> PositionalMap::ExportState()
+    const {
   std::lock_guard<std::mutex> lock(mu_);
-  ExportedState out;
-  out.total_tuples = total_tuples_;
-  out.stripes.reserve(stripes_.size());
+  std::vector<ExportedStripe> out;
+  out.reserve(stripes_.size());
   const size_t per_stripe = static_cast<size_t>(options_.tuples_per_chunk);
   for (const auto& [stripe_idx, stripe] : stripes_) {
     ExportedStripe exp;
@@ -614,9 +604,9 @@ PositionalMap::ExportedState PositionalMap::ExportState() const {
         }
       }
     }
-    out.stripes.push_back(std::move(exp));
+    out.push_back(std::move(exp));
   }
-  std::sort(out.stripes.begin(), out.stripes.end(),
+  std::sort(out.begin(), out.end(),
             [](const ExportedStripe& a, const ExportedStripe& b) {
               return a.stripe < b.stripe;
             });
@@ -633,7 +623,6 @@ void PositionalMap::Clear() {
   memory_bytes_ = 0;
   num_positions_ = 0;
   contiguous_rows_known_ = 0;
-  total_tuples_ = 0;
   open_insert_chunks_ = 0;
 }
 

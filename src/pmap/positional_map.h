@@ -151,11 +151,6 @@ class PositionalMap {
     std::vector<uint32_t> positions;   // [row][attrs index], row-major
   };
 
-  struct ExportedState {
-    uint64_t total_tuples = 0;
-    std::vector<ExportedStripe> stripes;
-  };
-
   PositionalMap(int num_attrs, Options options);
 
   PositionalMap(const PositionalMap&) = delete;
@@ -174,11 +169,6 @@ class PositionalMap {
   /// Number of contiguous tuples from 0 whose row start is known. Once a
   /// full sequential scan completed this equals the table's row count.
   uint64_t contiguous_rows_known() const;
-
-  /// Marks the total number of tuples in the file (set when a scan reaches
-  /// EOF); 0 if not yet known.
-  void SetTotalTuples(uint64_t n);
-  uint64_t total_tuples() const;
 
   // ------------------------------------------------------------------
   // Scan epochs
@@ -290,13 +280,13 @@ class PositionalMap {
   Counters counters() const;
   const Options& options() const { return options_; }
 
-  /// Consistent deep copy of everything worth persisting (spine, attribute
-  /// positions, total-tuple count), taken under the internal lock in one
-  /// critical section so no stripe mixes states from different moments.
-  /// Spilled chunks are skipped (reloading them here would thrash the
-  /// budget; their positions merely cost re-tokenization later). Stripes
-  /// are ordered by stripe index.
-  ExportedState ExportState() const;
+  /// Consistent deep copy of everything worth persisting (spine and
+  /// attribute positions), taken under the internal lock in one critical
+  /// section so no stripe mixes states from different moments. Spilled
+  /// chunks are skipped (reloading them here would thrash the budget; their
+  /// positions merely cost re-tokenization later). Stripes are ordered by
+  /// stripe index.
+  std::vector<ExportedStripe> ExportState() const;
 
   /// Drops the entire map (it is auxiliary; next query rebuilds it).
   void Clear();
@@ -373,7 +363,6 @@ class PositionalMap {
   uint64_t next_epoch_ = 0;
   std::vector<uint64_t> active_epochs_;
   uint64_t contiguous_rows_known_ = 0;
-  uint64_t total_tuples_ = 0;
   int open_insert_chunks_ = 0;
   Counters counters_;
 };

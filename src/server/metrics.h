@@ -4,8 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
+
+#include "engine/database.h"
 
 namespace nodb {
 
@@ -44,46 +45,12 @@ struct ServerStats {
   double p50_ms = 0;
   double p99_ms = 0;
 
-  // --- warm-restart snapshots (merged in by QueryServer::Stats from the
-  //     engine's SnapshotCounters; all zero when the feature is off) ---
-  uint64_t snapshot_loads = 0;
-  uint64_t snapshot_load_misses = 0;
-  uint64_t snapshot_load_stale = 0;
-  uint64_t snapshot_load_corrupt = 0;
-  uint64_t snapshot_saves = 0;
-  uint64_t snapshot_save_failures = 0;
-  uint64_t snapshot_bytes_loaded = 0;
-  uint64_t snapshot_bytes_saved = 0;
-
-  /// Per-table slice of the STATS payload: snapshot state plus the raw-file
-  /// I/O accounting that proves (or disproves) a warm restart.
-  struct TableView {
-    std::string name;
-    std::string snapshot_state;  // SnapshotStateName: none/loaded/stale/...
-    uint64_t snapshot_bytes = 0;
-    /// Raw-file bytes read through the adapter since Open; ~0 right after a
-    /// successful snapshot load, file-sized after a cold first scan. For
-    /// compressed sources: decompressed payload bytes.
-    uint64_t bytes_read = 0;
-    /// Compressed-source (gzip) accounting; all zero for plain files.
-    /// `gz_bytes_inflated` stays 0 across a warm restart whose queries are
-    /// cache-served, and grows by at most a checkpoint interval per
-    /// pmap-directed seek — the restart smoke test's gate.
-    bool compressed = false;
-    uint64_t gz_checkpoints = 0;
-    uint64_t gz_bytes_inflated = 0;
-    /// Known row count; negative while unknown.
-    double rows = -1;
-    /// Workload-driven promotion state (src/adaptive): attributes currently
-    /// resident in the promoted columnar tier, their footprint, and the
-    /// lifetime number of tier transitions. All zero when the subsystem is
-    /// off.
-    std::vector<int> promoted_columns;
-    uint64_t promoted_bytes = 0;
-    uint64_t promotions = 0;
-    uint64_t demotions = 0;
-  };
-  std::vector<TableView> tables;
+  // --- merged in by QueryServer::Stats from the engine ---
+  /// Warm-restart snapshot outcomes; all zero when the feature is off.
+  SnapshotCounters snapshot;
+  /// Per-table catalog view (Database::ListTables): snapshot state plus the
+  /// raw-file I/O accounting that proves (or disproves) a warm restart.
+  std::vector<TableInfo> tables;
 };
 
 /// Fixed-size ring of recent query latencies; Percentile snapshots and

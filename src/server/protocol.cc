@@ -250,22 +250,22 @@ std::string StatsLine(const ServerStats& s, const SessionStatsView& sess) {
   AppendDouble(&out, s.p50_ms);
   out += ",\"p99_ms\":";
   AppendDouble(&out, s.p99_ms);
-  field("snapshot_loads", s.snapshot_loads);
-  field("snapshot_load_misses", s.snapshot_load_misses);
-  field("snapshot_load_stale", s.snapshot_load_stale);
-  field("snapshot_load_corrupt", s.snapshot_load_corrupt);
-  field("snapshot_saves", s.snapshot_saves);
-  field("snapshot_save_failures", s.snapshot_save_failures);
-  field("snapshot_bytes_loaded", s.snapshot_bytes_loaded);
-  field("snapshot_bytes_saved", s.snapshot_bytes_saved);
+  field("snapshot_loads", s.snapshot.loads);
+  field("snapshot_load_misses", s.snapshot.load_misses);
+  field("snapshot_load_stale", s.snapshot.load_stale);
+  field("snapshot_load_corrupt", s.snapshot.load_corrupt);
+  field("snapshot_saves", s.snapshot.saves);
+  field("snapshot_save_failures", s.snapshot.save_failures);
+  field("snapshot_bytes_loaded", s.snapshot.bytes_loaded);
+  field("snapshot_bytes_saved", s.snapshot.bytes_saved);
   out += ",\"tables\":[";
   for (size_t i = 0; i < s.tables.size(); ++i) {
-    const ServerStats::TableView& t = s.tables[i];
+    const TableInfo& t = s.tables[i];
     if (i > 0) out.push_back(',');
     out += "{\"name\":";
     AppendJsonQuoted(&out, t.name);
     out += ",\"snapshot_state\":";
-    AppendJsonQuoted(&out, t.snapshot_state);
+    AppendJsonQuoted(&out, SnapshotStateName(t.snapshot_state));
     out += ",\"snapshot_bytes\":" + std::to_string(t.snapshot_bytes);
     out += ",\"bytes_read\":" + std::to_string(t.bytes_read);
     out += ",\"compressed\":";
@@ -273,7 +273,7 @@ std::string StatsLine(const ServerStats& s, const SessionStatsView& sess) {
     out += ",\"gz_checkpoints\":" + std::to_string(t.gz_checkpoints);
     out += ",\"gz_bytes_inflated\":" + std::to_string(t.gz_bytes_inflated);
     out += ",\"rows\":";
-    AppendDouble(&out, t.rows);
+    AppendDouble(&out, t.row_count);
     out += ",\"promoted_columns\":[";
     for (size_t c = 0; c < t.promoted_columns.size(); ++c) {
       if (c > 0) out.push_back(',');

@@ -156,31 +156,8 @@ ServerStats QueryServer::Stats() const {
   s.warm_active = admission->active(false);
   s.cold_queued = admission->queued(true);
   s.warm_queued = admission->queued(false);
-  SnapshotCounters snap = db_->snapshot_counters();
-  s.snapshot_loads = snap.loads;
-  s.snapshot_load_misses = snap.load_misses;
-  s.snapshot_load_stale = snap.load_stale;
-  s.snapshot_load_corrupt = snap.load_corrupt;
-  s.snapshot_saves = snap.saves;
-  s.snapshot_save_failures = snap.save_failures;
-  s.snapshot_bytes_loaded = snap.bytes_loaded;
-  s.snapshot_bytes_saved = snap.bytes_saved;
-  for (const TableInfo& info : db_->ListTables()) {
-    ServerStats::TableView view;
-    view.name = info.name;
-    view.snapshot_state = std::string(SnapshotStateName(info.snapshot_state));
-    view.snapshot_bytes = info.snapshot_bytes;
-    view.bytes_read = info.bytes_read;
-    view.compressed = info.compressed;
-    view.gz_checkpoints = info.gz_checkpoints;
-    view.gz_bytes_inflated = info.gz_bytes_inflated;
-    view.rows = info.row_count;
-    view.promoted_columns = info.promoted_columns;
-    view.promoted_bytes = info.promoted_bytes;
-    view.promotions = info.promotions;
-    view.demotions = info.demotions;
-    s.tables.push_back(std::move(view));
-  }
+  s.snapshot = db_->snapshot_counters();
+  s.tables = db_->ListTables();
   return s;
 }
 
@@ -189,7 +166,7 @@ bool QueryServer::IsColdQuery(const std::vector<std::string>& tables) const {
     TableRuntime* rt = db_->runtime(name);
     if (rt == nullptr) continue;  // binder already vetted; be permissive
     if (rt->storage == TableStorage::kRaw &&
-        rt->known_row_count.load(std::memory_order_acquire) < 0) {
+        rt->row_count.load(std::memory_order_acquire) < 0) {
       return true;
     }
   }

@@ -75,9 +75,10 @@ class QueryServer {
   Database* db() const { return db_; }
   AdmissionController* admission() { return &admission_; }
   ServerMetrics* metrics() { return &metrics_; }
-  /// A query is cold when any table it touches is a raw source whose first
-  /// complete scan hasn't happened yet (no trustworthy row count, pmap and
-  /// cache still empty) — the expensive, pool-hogging case.
+  /// A query is cold when any table it touches is a raw source whose row
+  /// count is still unknown: no complete scan, promotion sweep or snapshot
+  /// load yet, and no header-stated count (pmap and cache still empty) —
+  /// the expensive, pool-hogging case.
   bool IsColdQuery(const std::vector<std::string>& tables) const;
   /// Writes one structured log line, serialized across sessions.
   void LogLine(std::string_view line);

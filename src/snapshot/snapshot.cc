@@ -397,7 +397,8 @@ struct DecodedSnapshot {
   Schema schema;
   uint32_t tuples_per_chunk = 0;
   bool has_pmap = false;
-  PositionalMap::ExportedState pmap;
+  uint64_t pmap_rows = 0;  // the row count, 0 when unknown at save time
+  std::vector<PositionalMap::ExportedStripe> pmap;
   bool has_cache = false;
   std::vector<DecodedCacheChunk> cache;
   bool has_stats = false;
@@ -444,14 +445,14 @@ bool DecodePayload(std::string_view payload, uint32_t version,
 
   out->has_pmap = r.U8() != 0;
   if (out->has_pmap) {
-    out->pmap.total_tuples = r.U64();
+    out->pmap_rows = r.U64();
     uint64_t n_stripes = r.U64();
     // Each stripe carries at least a full spine; bound the count by what
     // the payload could possibly hold before reserving.
     if (!r.ok() || n_stripes > r.remaining() / (tpc * sizeof(uint64_t)) + 1) {
       return false;
     }
-    out->pmap.stripes.reserve(n_stripes);
+    out->pmap.reserve(n_stripes);
     for (uint64_t s = 0; s < n_stripes; ++s) {
       PositionalMap::ExportedStripe stripe;
       stripe.stripe = r.U64();
@@ -471,7 +472,7 @@ bool DecodePayload(std::string_view payload, uint32_t version,
                         static_cast<size_t>(n_rows) * n_attrs)) {
         return false;
       }
-      out->pmap.stripes.push_back(std::move(stripe));
+      out->pmap.push_back(std::move(stripe));
     }
   }
 
@@ -575,18 +576,6 @@ bool DecodePayload(std::string_view payload, uint32_t version,
   return r.ok() && r.remaining() == 0;
 }
 
-/// The stripe size the live table addresses chunks with (0 when the table
-/// has no stripe-addressed structure).
-uint32_t LiveTuplesPerChunk(const TableRuntime& rt) {
-  if (rt.pmap != nullptr) {
-    return static_cast<uint32_t>(rt.pmap->tuples_per_chunk());
-  }
-  if (rt.cache != nullptr) {
-    return static_cast<uint32_t>(rt.cache->tuples_per_chunk());
-  }
-  return 0;
-}
-
 SnapshotLoadInfo Reject(TableRuntime* rt, SnapshotLoadOutcome outcome,
                         uint64_t bytes, std::string detail) {
   SnapshotLoadInfo info;
@@ -678,7 +667,6 @@ uint64_t WarmStateSignature(const TableRuntime& rt) {
     PositionalMap::Counters c = rt.pmap->counters();
     sig = HashCombine(sig, rt.pmap->num_positions());
     sig = HashCombine(sig, rt.pmap->memory_bytes());
-    sig = HashCombine(sig, rt.pmap->total_tuples());
     sig = HashCombine(sig, c.fragments_installed);
     sig = HashCombine(sig, c.chunks_evicted);
   }
@@ -688,10 +676,7 @@ uint64_t WarmStateSignature(const TableRuntime& rt) {
     sig = HashCombine(sig, c.evictions);
     sig = HashCombine(sig, rt.cache->memory_bytes());
   }
-  if (rt.stats != nullptr) {
-    std::optional<uint64_t> rc = rt.stats->row_count();
-    sig = HashCombine(sig, rc.has_value() ? *rc + 1 : 0);
-  }
+  sig = HashCombine(sig, static_cast<uint64_t>(rt.row_count.load() + 1));
   if (rt.access != nullptr) {
     sig = HashCombine(sig, rt.access->Signature());
   }
@@ -742,14 +727,18 @@ Result<SnapshotWriteInfo> WriteTableSnapshot(TableRuntime* rt) {
     PutStr(&payload, c.name);
     PutU8(&payload, static_cast<uint8_t>(c.type));
   }
-  PutU32(&payload, LiveTuplesPerChunk(*rt));
+  PutU32(&payload, static_cast<uint32_t>(rt->tuples_per_chunk));
+  // The pmap and stats sections both carry the table's one row count.
+  const int64_t row_count = rt->row_count.load();
+  const uint64_t known_rows = row_count >= 0 ? row_count : 0;
 
   if (rt->pmap != nullptr) {
     PutU8(&payload, 1);
-    PositionalMap::ExportedState state = rt->pmap->ExportState();
-    PutU64(&payload, state.total_tuples);
-    PutU64(&payload, state.stripes.size());
-    for (const PositionalMap::ExportedStripe& s : state.stripes) {
+    std::vector<PositionalMap::ExportedStripe> stripes =
+        rt->pmap->ExportState();
+    PutU64(&payload, known_rows);
+    PutU64(&payload, stripes.size());
+    for (const PositionalMap::ExportedStripe& s : stripes) {
       PutU64(&payload, s.stripe);
       PutU32(&payload, static_cast<uint32_t>(s.row_starts.size()));
       payload.append(reinterpret_cast<const char*>(s.row_starts.data()),
@@ -780,9 +769,8 @@ Result<SnapshotWriteInfo> WriteTableSnapshot(TableRuntime* rt) {
 
   if (rt->stats != nullptr) {
     PutU8(&payload, 1);
-    std::optional<uint64_t> rc = rt->stats->row_count();
-    PutU8(&payload, rc.has_value() ? 1 : 0);
-    PutU64(&payload, rc.value_or(0));
+    PutU8(&payload, row_count >= 0 ? 1 : 0);
+    PutU64(&payload, known_rows);
     std::vector<std::pair<int, TableStats::AttrStatsPtr>> built =
         rt->stats->ExportBuilt();
     PutU32(&payload, static_cast<uint32_t>(built.size()));
@@ -936,8 +924,7 @@ SnapshotLoadInfo LoadTableSnapshot(TableRuntime* rt) {
     return Reject(rt, SnapshotLoadOutcome::kStale, info.bytes,
                   "schema changed");
   }
-  uint32_t live_tpc = LiveTuplesPerChunk(*rt);
-  if (live_tpc != 0 && snap.tuples_per_chunk != live_tpc) {
+  if (snap.tuples_per_chunk != static_cast<uint32_t>(rt->tuples_per_chunk)) {
     return Reject(rt, SnapshotLoadOutcome::kStale, info.bytes,
                   "stripe size changed");
   }
@@ -958,8 +945,8 @@ SnapshotLoadInfo LoadTableSnapshot(TableRuntime* rt) {
     auto install_worker = [&] {
       PmapFragment frag;
       for (size_t si; (si = next_stripe.fetch_add(1)) <
-                      snap.pmap.stripes.size();) {
-        const PositionalMap::ExportedStripe& s = snap.pmap.stripes[si];
+                      snap.pmap.size();) {
+        const PositionalMap::ExportedStripe& s = snap.pmap[si];
         const size_t n_attrs = s.attrs.size();
         // One fragment per contiguous run of known row starts (a
         // fragment's records are consecutive tuples by contract).
@@ -986,18 +973,12 @@ SnapshotLoadInfo LoadTableSnapshot(TableRuntime* rt) {
       }
     };
     size_t hw = std::thread::hardware_concurrency();
-    size_t n_threads = std::min(hw == 0 ? 1 : hw, snap.pmap.stripes.size());
+    size_t n_threads = std::min(hw == 0 ? 1 : hw, snap.pmap.size());
     std::vector<std::thread> workers;
     for (size_t t = 1; t < n_threads; ++t) workers.emplace_back(install_worker);
     install_worker();
     for (std::thread& w : workers) w.join();
     rt->pmap->EndEpoch(epoch);
-    if (snap.pmap.total_tuples > 0) {
-      rt->pmap->SetTotalTuples(snap.pmap.total_tuples);
-      rt->known_row_count.store(
-          static_cast<double>(snap.pmap.total_tuples),
-          std::memory_order_release);
-    }
   }
 
   if (snap.has_cache && rt->cache != nullptr) {
@@ -1025,14 +1006,17 @@ SnapshotLoadInfo LoadTableSnapshot(TableRuntime* rt) {
     for (DecodedStats& ds : snap.stats) {
       rt->stats->InstallSnapshot(ds.attr, std::move(ds.stats));
     }
-    if (snap.has_row_count) {
-      rt->stats->SetRowCount(snap.row_count);
-      rt->known_row_count.store(static_cast<double>(snap.row_count),
-                                std::memory_order_release);
-    }
     if (snap.has_row_count || !snap.stats.empty()) {
       rt->stats_populated.store(true, std::memory_order_release);
     }
+  }
+
+  // Both sections record the table's row count; it belongs to the table,
+  // not to either structure, so it is restored whichever is installed.
+  if (snap.has_row_count) {
+    rt->row_count = static_cast<int64_t>(snap.row_count);
+  } else if (snap.pmap_rows > 0) {
+    rt->row_count = static_cast<int64_t>(snap.pmap_rows);
   }
 
   rt->snapshot_state.store(SnapshotState::kLoaded, std::memory_order_release);

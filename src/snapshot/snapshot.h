@@ -31,10 +31,12 @@ namespace nodb {
 ///            u64 payload_size | u64 payload_checksum | u64 reserved
 ///   payload  source fingerprint (path, size, mtime_ns, head/tail hash)
 ///            format name + schema (must match the open table exactly)
-///            tuples_per_chunk (stripe addressing must agree)
-///            positional-map section  (spine + per-stripe position matrix)
+///            tuples_per_chunk (the table's stripe size, always recorded;
+///                              stripe addressing must agree)
+///            positional-map section  (row count + spine + per-stripe
+///                                     position matrix)
 ///            column-cache section    (typed value chunks)
-///            statistics section      (finalized AttrStats + row count)
+///            statistics section      (row count + finalized AttrStats)
 ///
 /// The checksum covers the entire payload, so truncation and bit flips are
 /// detected before any field is interpreted; the decoder additionally bounds-

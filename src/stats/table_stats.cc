@@ -11,16 +11,6 @@ TableStats::TableStats(const Schema& schema) {
   built_.resize(schema.num_columns());
 }
 
-void TableStats::SetRowCount(uint64_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  row_count_ = n;
-}
-
-std::optional<uint64_t> TableStats::row_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return row_count_;
-}
-
 bool TableStats::HasAttr(int attr) const {
   std::lock_guard<std::mutex> lock(mu_);
   return built_[attr] != nullptr;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -26,11 +25,6 @@ class TableStats {
   using AttrStatsPtr = std::shared_ptr<const AttrStats>;
 
   explicit TableStats(const Schema& schema);
-
-  /// Notes that a full scan observed `n` rows (exact row count).
-  void SetRowCount(uint64_t n);
-  /// Exact row count if a scan completed, otherwise nullopt.
-  std::optional<uint64_t> row_count() const;
 
   /// True if statistics exist for `attr`.
   bool HasAttr(int attr) const;
@@ -71,7 +65,6 @@ class TableStats {
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<AttrStatsBuilder>> builders_;
   std::vector<AttrStatsPtr> built_;
-  std::optional<uint64_t> row_count_;
 };
 
 }  // namespace nodb

@@ -639,7 +639,7 @@ TEST(FixedStrideScanTest, RowCountMultipleOfStripeStillFinalizesScan) {
   auto result = db->Execute("SELECT id, score FROM t");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->rows.size(), 4096u);
-  EXPECT_EQ(db->runtime("t")->known_row_count, 4096.0);
+  EXPECT_EQ(db->runtime("t")->row_count.load(), 4096);
   EXPECT_TRUE(db->runtime("t")->stats_populated);
   EXPECT_NE(db->GetTableStats("t"), nullptr);
 }

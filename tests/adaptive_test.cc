@@ -49,7 +49,7 @@ TEST_F(AdaptiveTest, PositionalMapPopulatesOnFirstQueryOnly) {
   // tokenized along the way are kept ("all positions from 1 to 15 may be
   // kept") — a5, a17 => columns 1..17 (indices 0..16).
   EXPECT_EQ(rt->pmap->num_positions(), 17 * spec_.rows);
-  EXPECT_EQ(rt->pmap->total_tuples(), spec_.rows);
+  EXPECT_EQ(rt->row_count.load(), static_cast<int64_t>(spec_.rows));
 
   uint64_t positions_after_q1 = rt->pmap->num_positions();
   ASSERT_TRUE(db->Execute("SELECT a5, a17 FROM wide").ok());

@@ -92,8 +92,8 @@ TEST(ConcurrencyStressTest, SerialScansWarmOneCsvTableFromManyThreads) {
   auto db = MakeEngine(SystemUnderTest::kPostgresRawPMC);
   ASSERT_TRUE(db->RegisterCsv("t", s.csv, MicroSchema(s.spec)).ok());
   HammerDatabase(db.get(), 6, 6);
-  EXPECT_EQ(static_cast<double>(db->runtime("t")->known_row_count),
-            static_cast<double>(s.spec.rows));
+  EXPECT_EQ(db->runtime("t")->row_count.load(),
+            static_cast<int64_t>(s.spec.rows));
 }
 
 TEST(ConcurrencyStressTest, SerialScansUnderTightBudgetsChurnSafely) {

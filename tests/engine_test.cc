@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "engine/engines.h"
+#include "fits/fits_writer.h"
 #include "util/fs_util.h"
+#include "workload/micro.h"
 
 namespace nodb {
 namespace {
@@ -357,6 +359,127 @@ TEST_F(EngineTest, ExistsSemiJoin) {
       "(SELECT * FROM flags WHERE f_id = id)");
   ASSERT_TRUE(anti.ok()) << anti.status();
   EXPECT_EQ(anti->rows[0][0].int64(), 3);  // bob, dave, erin
+}
+
+// ---------------------------------------------------------------------
+// One row count per table: however the engine learns it, the catalog,
+// the planner's GetRowCount and the rows the next scan emits agree.
+// ---------------------------------------------------------------------
+
+class RowCountTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    spec_.rows = 10000;  // 3 stripes at the default 4096 tuples_per_chunk
+    spec_.cols = 4;
+    csv_ = dir_.File("t.csv");
+    ASSERT_TRUE(GenerateWideCsv(csv_, spec_).ok());
+  }
+
+  static double CatalogRows(Database* db) {
+    for (const TableInfo& info : db->ListTables()) {
+      if (info.name == "t") return info.row_count;
+    }
+    return -2;
+  }
+
+  /// The catalog, the planner's count and a full scan all report `rows`.
+  static void ExpectAgree(Database* db, const std::string& column,
+                          uint64_t rows) {
+    EXPECT_EQ(CatalogRows(db), static_cast<double>(rows));
+    EXPECT_EQ(db->GetRowCount("t"), static_cast<double>(rows));
+    auto result = db->Execute("SELECT " + column + " FROM t");
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->rows.size(), rows);
+  }
+
+  TempDir dir_;
+  MicroDataSpec spec_;
+  std::string csv_;
+};
+
+TEST_F(RowCountTest, LearnedAtColdScanEof) {
+  auto db = MakeEngine(SystemUnderTest::kPostgresRawPMC);
+  ASSERT_TRUE(db->RegisterCsv("t", csv_, MicroSchema(spec_)).ok());
+  EXPECT_EQ(db->GetRowCount("t"), -1);
+  EXPECT_EQ(CatalogRows(db.get()), -1);
+  auto cold = db->Execute("SELECT a2 FROM t");
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(cold->rows.size(), spec_.rows);
+  ExpectAgree(db.get(), "a2", spec_.rows);
+}
+
+TEST_F(RowCountTest, LearnedByPromotionSweepOnNeverScannedTable) {
+  EngineConfig cfg = EngineConfig::ForSystem(SystemUnderTest::kPostgresRawPMC);
+  cfg.promotion.enabled = true;
+  cfg.promotion.min_scans = 2;
+  Database db(cfg);
+  ASSERT_TRUE(db.RegisterCsv("t", csv_, MicroSchema(spec_)).ok());
+  // Early-terminated scans earn the column its promotion but never reach
+  // EOF, so the sweep is the first full pass over the file.
+  for (int i = 0; i < 2; ++i) {
+    auto head = db.Execute("SELECT a1 FROM t LIMIT 5");
+    ASSERT_TRUE(head.ok()) << head.status();
+  }
+  ASSERT_EQ(db.GetRowCount("t"), -1);
+  auto report = db.RunPromotionCycle("t");
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(db.IsColumnPromoted("t", 0));
+  ExpectAgree(&db, "a1", spec_.rows);
+}
+
+TEST_F(RowCountTest, RestoredBySnapshotReopen) {
+  EngineConfig cfg = EngineConfig::ForSystem(SystemUnderTest::kPostgresRawPMC);
+  cfg.snapshot_dir = dir_.File("snaps");
+  {
+    Database db(cfg);
+    ASSERT_TRUE(db.RegisterCsv("t", csv_, MicroSchema(spec_)).ok());
+    ASSERT_TRUE(db.Execute("SELECT a1, a3 FROM t").ok());
+    ASSERT_TRUE(db.Snapshot("t").ok());
+  }
+  Database db(cfg);
+  ASSERT_TRUE(db.RegisterCsv("t", csv_, MicroSchema(spec_)).ok());
+  ExpectAgree(&db, "a3", spec_.rows);
+}
+
+TEST_F(RowCountTest, StatedByFitsHeader) {
+  const std::string fits = dir_.File("t.fits");
+  constexpr int kRows = 5000;
+  {
+    auto writer = FitsWriter::Create(fits, Schema{{"id", TypeId::kInt64}});
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE((*writer)->Append(Row{Value::Int64(i)}).ok());
+    }
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  auto db = MakeEngine(SystemUnderTest::kPostgresRawPMC);
+  ASSERT_TRUE(db->RegisterFits("t", fits).ok());
+  ExpectAgree(db.get(), "id", kRows);  // before any scan: the header's count
+  ExpectAgree(db.get(), "id", kRows);  // after one: the scan's count
+}
+
+TEST_F(RowCountTest, BaselineRereadsTheFileOnEveryQuery) {
+  // Without a positional map or promoted columns nothing pins a scan to
+  // the last count: the straw-man re-reads the file to EOF every time.
+  auto db = MakeEngine(SystemUnderTest::kPostgresRawBaseline);
+  ASSERT_TRUE(db->RegisterCsv("t", csv_, MicroSchema(spec_)).ok());
+  auto first = db->Execute("SELECT a1 FROM t");
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->rows.size(), spec_.rows);
+
+  // Add a row between the two queries. The open handle keeps the file size
+  // it saw at Open, so the edit keeps the size: the last row's first
+  // separator becomes a line break, splitting it into two (short) rows.
+  auto contents = ReadFileToString(csv_);
+  ASSERT_TRUE(contents.ok());
+  std::string edited = *contents;
+  const size_t last_row = edited.rfind('\n', edited.size() - 2) + 1;
+  edited[edited.find(',', last_row)] = '\n';
+  ASSERT_TRUE(WriteStringToFile(csv_, edited).ok());
+  auto second = db->Execute("SELECT a1 FROM t");
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->rows.size(), spec_.rows + 1);
+  ExpectAgree(db.get(), "a1", spec_.rows + 1);
 }
 
 }  // namespace

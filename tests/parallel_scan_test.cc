@@ -237,11 +237,9 @@ TEST(ParallelScanDifferentialTest, AllEngineVariantsAgreeWithSerial) {
       Database* db = parallel[i].second.get();
       TableRuntime* serial_rt = reference->runtime("t");
       TableRuntime* rt = db->runtime("t");
-      EXPECT_EQ(static_cast<double>(rt->known_row_count),
-                static_cast<double>(serial_rt->known_row_count))
+      EXPECT_EQ(rt->row_count.load(), serial_rt->row_count.load())
           << variant.name << " x" << threads;
       if (rt->pmap != nullptr && serial_rt->pmap != nullptr) {
-        EXPECT_EQ(rt->pmap->total_tuples(), serial_rt->pmap->total_tuples());
         EXPECT_EQ(rt->pmap->contiguous_rows_known(),
                   serial_rt->pmap->contiguous_rows_known());
       }
@@ -369,8 +367,7 @@ TEST(ParallelScanDifferentialTest, FitsIndexMorselsAgreeWithSerial) {
           << "round " << round << ": " << sql;
     }
   }
-  EXPECT_EQ(static_cast<double>(parallel.runtime("t")->known_row_count),
-            3000.0);
+  EXPECT_EQ(parallel.runtime("t")->row_count.load(), 3000);
 }
 
 TEST(ParallelScanDifferentialTest, ConcurrentOpenCursorsShareOnePool) {

@@ -47,7 +47,6 @@ class FakeStats : public StatsProvider {
         stats->AddValue(c, Value::Int64(v));
       }
     }
-    stats->SetRowCount(static_cast<uint64_t>(rows));
     stats->FinalizeAll();
     stats_[name] = std::move(stats);
   }

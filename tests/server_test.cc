@@ -10,8 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -394,6 +396,86 @@ TEST(ServerTest, RoundTripAndVerbs) {
   // The connection still serves queries after both error shapes.
   ex = RunQuery(&client, "SELECT COUNT(*) FROM tj");
   EXPECT_TRUE(IsOk(ex)) << ex.terminal;
+}
+
+/// Replaces the value of every `"key":<number>` in `line` with `#`, for
+/// the keys listed (values that depend on timing or on temp-dir paths).
+std::string MaskNumbers(std::string line,
+                        std::initializer_list<std::string_view> keys) {
+  for (std::string_view key : keys) {
+    const std::string tag = "\"" + std::string(key) + "\":";
+    for (size_t at = line.find(tag); at != std::string::npos;
+         at = line.find(tag, at + 1)) {
+      const size_t begin = at + tag.size();
+      size_t end = begin;
+      while (end < line.size() &&
+             std::string_view("0123456789.-+eE").find(line[end]) !=
+                 std::string_view::npos) {
+        ++end;
+      }
+      line.replace(begin, end - begin, "#");
+    }
+  }
+  return line;
+}
+
+TEST(ServerTest, StatsLineIsPinnedForSnapshottedPromotedTable) {
+  // The full STATS payload for a fixed table that was restored from a
+  // snapshot and then promoted: every key, its order and its value, with
+  // only latency and path-dependent snapshot sizes masked.
+  TempDir dir;
+  MicroDataSpec spec;
+  spec.rows = 5000;
+  spec.cols = 3;
+  spec.seed = 20260807;
+  const std::string csv = dir.File("t.csv");
+  ASSERT_TRUE(GenerateWideCsv(csv, spec).ok());
+  EngineConfig cfg = EngineConfig::ForSystem(SystemUnderTest::kPostgresRawPMC);
+  cfg.snapshot_dir = dir.File("snaps");
+  cfg.promotion.enabled = true;
+  cfg.promotion.min_scans = 2;
+  {
+    Database warm(cfg);
+    ASSERT_TRUE(warm.RegisterCsv("t", csv, MicroSchema(spec)).ok());
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(warm.Execute("SELECT SUM(a1), SUM(a2) FROM t").ok());
+    }
+    ASSERT_TRUE(warm.Snapshot("t").ok());
+  }
+  Database db(cfg);
+  ASSERT_TRUE(db.RegisterCsv("t", csv, MicroSchema(spec)).ok());
+  auto report = db.RunPromotionCycle("t");
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->promoted, (std::vector<int>{0, 1}));
+
+  QueryServer server(&db, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(IsOk(RunQuery(&client, "SELECT SUM(a1) FROM t")));
+  std::string line;
+  ASSERT_TRUE(client.Send("STATS"));
+  ASSERT_TRUE(client.ReadLine(&line));
+  // bytes_streamed includes the terminal line, whose "seconds" varies.
+  EXPECT_EQ(MaskNumbers(line, {"bytes_streamed", "p50_ms", "p99_ms",
+                               "snapshot_bytes_loaded", "snapshot_bytes"}),
+            R"({"stats":{"sessions_opened":1,"sessions_closed":0,)"
+            R"("sessions_active":1,"queries_started":1,"queries_finished":1,)"
+            R"("queries_failed":0,"queries_cancelled":0,"queries_deadline":0,)"
+            R"("queries_rejected":0,"rows_streamed":1,"bytes_streamed":#,)"
+            R"("cold_admitted":0,"warm_admitted":1,"cold_active":0,)"
+            R"("warm_active":0,"cold_queued":0,"warm_queued":0,)"
+            R"("latency_samples":1,"p50_ms":#,"p99_ms":#,"snapshot_loads":1,)"
+            R"("snapshot_load_misses":0,"snapshot_load_stale":0,)"
+            R"("snapshot_load_corrupt":0,"snapshot_saves":0,)"
+            R"("snapshot_save_failures":0,"snapshot_bytes_loaded":#,)"
+            R"("snapshot_bytes_saved":0,"tables":[{"name":"t",)"
+            R"("snapshot_state":"loaded","snapshot_bytes":#,)"
+            R"("bytes_read":148282,"compressed":false,"gz_checkpoints":0,)"
+            R"("gz_bytes_inflated":0,"rows":5000,"promoted_columns":[0,1],)"
+            R"("promoted_bytes":480256,"promotions":2,"demotions":0}],)"
+            R"("session":{"id":1,"queries":1,"rows_streamed":1,)"
+            R"("bytes_streamed":#}}})");
 }
 
 TEST(ServerTest, SixteenClientsMatchDirectQueryByteForByte) {

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "engine/engines.h"
+#include "fits/fits_writer.h"
 #include "io/inflate_file.h"
 #include "snapshot/snapshot.h"
 #include "util/fs_util.h"
@@ -339,6 +340,90 @@ TEST_F(SnapshotTest, CacheOnlyAndPmapOnlyVariantsRoundTrip) {
     EXPECT_EQ(db->snapshot_counters().loads, 1u);
     ExpectColdEquivalent(db.get());
   }
+}
+
+/// Field-wise equality of two per-column access counter vectors.
+void ExpectSameAccess(const std::vector<ColumnAccessCounters>& got,
+                      const std::vector<ColumnAccessCounters>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t a = 0; a < want.size(); ++a) {
+    SCOPED_TRACE("attr " + std::to_string(a));
+    EXPECT_EQ(got[a].scans, want[a].scans);
+    EXPECT_EQ(got[a].rows_parsed, want[a].rows_parsed);
+    EXPECT_EQ(got[a].bytes_parsed, want[a].bytes_parsed);
+    EXPECT_EQ(got[a].rows_from_cache, want[a].rows_from_cache);
+    EXPECT_EQ(got[a].rows_from_promoted, want[a].rows_from_promoted);
+  }
+}
+
+TEST_F(SnapshotTest, StatisticsOnlyTableReopensLoaded) {
+  // No positional map and no cache: the snapshot holds statistics, the
+  // row count and the access counters only. It must still record the
+  // engine's stripe size, or the reopen rejects its own file as corrupt.
+  EngineConfig cfg = SnapConfig();
+  cfg.positional_map = false;
+  cfg.cache = false;
+  std::vector<ColumnAccessCounters> access;
+  {
+    auto db = OpenDb(cfg);
+    Warm(db.get());
+    access = db->runtime("t")->access->SnapshotAll();
+    auto saved = db->Snapshot("t");
+    ASSERT_TRUE(saved.ok()) << saved.status();
+  }
+
+  auto db = OpenDb(cfg);
+  TableInfo info = InfoOf(db.get());
+  EXPECT_EQ(info.snapshot_state, SnapshotState::kLoaded);
+  EXPECT_EQ(db->snapshot_counters().loads, 1u);
+  EXPECT_EQ(db->snapshot_counters().load_corrupt, 0u);
+  EXPECT_EQ(info.row_count, static_cast<double>(spec_.rows));
+  EXPECT_EQ(db->GetRowCount("t"), static_cast<double>(spec_.rows));
+  EXPECT_NE(db->GetTableStats("t"), nullptr);
+  ExpectSameAccess(db->runtime("t")->access->SnapshotAll(), access);
+  ExpectColdEquivalent(db.get());
+}
+
+TEST_F(SnapshotTest, FitsTableWithoutCacheReopensLoaded) {
+  // FITS positions are arithmetic, so a FITS table never has a positional
+  // map; without the cache it snapshots exactly like the table above.
+  const std::string fits = dir_.File("t.fits");
+  Schema schema{{"id", TypeId::kInt64}, {"score", TypeId::kDouble}};
+  constexpr int kRows = 5000;
+  {
+    auto writer = FitsWriter::Create(fits, schema);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (int i = 0; i < kRows; ++i) {
+      Row row{Value::Int64(i % 97), Value::Double(i / 4.0)};
+      ASSERT_TRUE((*writer)->Append(row).ok());
+    }
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  EngineConfig cfg = SnapConfig();
+  cfg.cache = false;
+  const std::string sql = "SELECT SUM(id), MAX(score) FROM t WHERE id < 50";
+  std::vector<std::string> expected;
+  std::vector<ColumnAccessCounters> access;
+  {
+    Database db(cfg);
+    ASSERT_TRUE(db.RegisterFits("t", fits).ok());
+    expected = Rows(&db, sql);
+    access = db.runtime("t")->access->SnapshotAll();
+    auto saved = db.Snapshot("t");
+    ASSERT_TRUE(saved.ok()) << saved.status();
+  }
+
+  Database db(cfg);
+  ASSERT_TRUE(db.RegisterFits("t", fits).ok());
+  TableInfo info = InfoOf(&db);
+  EXPECT_EQ(info.snapshot_state, SnapshotState::kLoaded);
+  EXPECT_EQ(db.snapshot_counters().loads, 1u);
+  EXPECT_EQ(db.snapshot_counters().load_corrupt, 0u);
+  EXPECT_EQ(info.row_count, static_cast<double>(kRows));
+  EXPECT_EQ(db.GetRowCount("t"), static_cast<double>(kRows));
+  EXPECT_NE(db.GetTableStats("t"), nullptr);
+  ExpectSameAccess(db.runtime("t")->access->SnapshotAll(), access);
+  EXPECT_EQ(Rows(&db, sql), expected);
 }
 
 TEST_F(SnapshotTest, ExplicitSnapshotErrors) {

@@ -142,13 +142,5 @@ TEST(TableStatsTest, IncrementalAugmentation) {
   EXPECT_EQ(stats.Attr(0)->rows_seen, 2u);
 }
 
-TEST(TableStatsTest, RowCount) {
-  Schema schema{{"a", TypeId::kInt64}};
-  TableStats stats(schema);
-  EXPECT_FALSE(stats.row_count().has_value());
-  stats.SetRowCount(123);
-  EXPECT_EQ(*stats.row_count(), 123u);
-}
-
 }  // namespace
 }  // namespace nodb
